@@ -8,6 +8,7 @@ the offending argument, so failures surface close to the caller.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ def check_nonnegative(arr: np.ndarray, name: str) -> None:
 def check_positive_scalar(value: float, name: str) -> float:
     """Validate that ``value`` is a finite scalar > 0 and return it as float."""
     value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
+    if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     return value
 
@@ -81,7 +82,7 @@ def check_positive_scalar(value: float, name: str) -> float:
 def check_nonnegative_scalar(value: float, name: str) -> float:
     """Validate that ``value`` is a finite scalar >= 0 and return it as float."""
     value = float(value)
-    if not np.isfinite(value) or value < 0.0:
+    if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
     return value
 

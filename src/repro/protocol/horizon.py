@@ -3,10 +3,10 @@
 The sequential :class:`~repro.resilience.supervisor.RoundSupervisor`
 pays full per-round protocol machinery even when nothing interesting
 happens: a fresh discrete-event simulator, ~5n messages through the
-network layer, a write-ahead checkpoint per bid (O(n²) dict copies per
-round), per-job Python CUSUM loops, and a pile of per-round dataclass
-churn.  On a fault-free horizon every one of those rounds computes the
-same *kind* of thing — bids, one PR solve, one Poisson window, masked
+network layer, a write-ahead log with up to four full checkpoint
+snapshots per round, and a pile of per-round dataclass churn.  On a
+fault-free horizon every one of those rounds computes the same *kind*
+of thing — bids, one PR solve, one Poisson window, masked
 per-machine sojourn statistics, one mechanism evaluation — so this
 module evaluates maximal fault-free runs of rounds as one fused
 segment instead.
@@ -41,8 +41,8 @@ A fused segment runs in two phases:
   so later de-fused rounds see identical allocator state), the
   round's workload draw through the *same*
   ``RoundSupervisor._generate_times`` the sequential path uses,
-  vectorised per-machine sojourn statistics, a vectorised CUSUM fast
-  path, and quarantine bookkeeping.  Membership churn (an alert
+  vectorised per-machine sojourn statistics, CUSUM detection, and
+  quarantine bookkeeping.  Membership churn (an alert
   quarantining a machine mid-segment, probes re-admitted) is handled
   naturally because admission still happens round by round.
 * **Phase B (stacked):** all live rounds of the segment are grouped
@@ -80,12 +80,10 @@ same seed — every float in every :class:`RoundResult`, through
    loads for ``RoundResult.loads`` and CUSUM detection.  The fused
    path reproduces both, from the same inputs, in the same order.
 
-The CUSUM fast path is exact, not approximate: the detector statistic
-stays at zero iff every standardised excess ``s_j - slack`` is
-non-positive, which one vectorised comparison checks; any round that
-could move a detector is re-run through the real
-:class:`~repro.protocol.monitoring.CusumSlowdownDetector` for that
-machine only.
+Detection runs through the same
+:meth:`~repro.protocol.monitoring.CusumSlowdownDetector.observe_many`
+the sequential round calls; its exact zero-statistic screen is what
+makes a quiet machine's per-job loop free on both paths.
 
 Observability: fused rounds record the sequential counters
 (``supervisor.rounds``, ``supervisor.jobs_routed``, quarantine gauge)
@@ -214,7 +212,6 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
 
     mechanism = supervisor.mechanism
     exact_stack = type(mechanism) is VerificationMechanism
-    slack = supervisor.detector_slack
 
     results: list = []
     deferred: list[tuple[int, dict]] = []  # (slot in results, phase-A record)
@@ -372,13 +369,8 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             sojourns = machine_sojourns[k]
             if sojourns is None:
                 continue
-            declared = float(bids[k])
-            expected = declared * load
-            standardised = sojourns / expected - 1.0
-            if not np.any(standardised - slack > 0.0):
-                continue  # the CUSUM statistic provably never leaves 0
             detector = CusumSlowdownDetector(
-                declared,
+                float(bids[k]),
                 load,
                 threshold=supervisor.detector_threshold,
                 slack=supervisor.detector_slack,

@@ -115,11 +115,35 @@ class CusumSlowdownDetector:
           called directly, but never fires twice).
         * If no crossing happens in (or before) this batch, returns
           ``None``.
+
+        From a zero statistic, a batch with no ``s/expected - 1 -
+        slack > 0`` (the excess is monotone in ``s``, so the largest
+        sojourn decides) keeps the statistic at exactly 0, so it skips
+        the per-job loop: only ``jobs_observed`` and the sojourn total
+        advance, summed in the loop's order, bit for bit.  A negative
+        or NaN sojourn sends the batch through the loop, which raises
+        at (or absorbs) it exactly as ``observe`` does.
         """
         if self.alert is not None:
             return self.alert
-        for sojourn in np.asarray(sojourns, dtype=np.float64):
-            alert = self.observe(float(sojourn))
+        values = np.asarray(sojourns, dtype=np.float64).tolist()
+        if self.statistic == 0.0 and values:
+            total = self._sojourn_total
+            for sojourn in values:
+                total += sojourn
+            # A NaN anywhere makes the total NaN; without one, min and
+            # max are exact.
+            if (
+                total == total
+                and min(values) >= 0.0
+                and max(values) / self.expected_sojourn - 1.0 - self.slack
+                <= 0.0
+            ):
+                self.jobs_observed += len(values)
+                self._sojourn_total = total
+                return None
+        for sojourn in values:
+            alert = self.observe(sojourn)
             if alert is not None:
                 return alert
         return None

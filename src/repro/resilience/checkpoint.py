@@ -3,11 +3,26 @@
 The coordinator is a single point of failure: if it dies mid-round the
 machines have already burned cycles executing jobs, and naively
 restarting it either loses the round or — worse — pays twice.  The fix
-is the standard write-ahead pattern: the coordinator serialises its
+is the standard write-ahead pattern: the coordinator persists its
 *inputs* (phase, collected bids, decided loads, received reports, and
-the set of payments already issued) at every state transition, and a
+the set of payments already issued) before acting on them, and a
 restarted coordinator deterministically recomputes everything derived
 (estimates, outcome, remaining payments) from that record.
+
+Persistence is one write-ahead log (WAL) per round, held by a
+:class:`CheckpointStore`:
+
+* a full :class:`CoordinatorCheckpoint` **snapshot** only at a phase
+  transition — ``BIDDING`` (at start, empty), ``EXECUTING``,
+  ``VERIFYING`` and ``DONE``/``VOIDED``, at most four per clean round;
+* one O(1) **record** per event in between: a bid (as recorded, after
+  remediation overrides), a completion report, or an issued payment,
+  each a JSON line ``["bid", name, bid]``,
+  ``["report", name, jobs, mean_sojourn]`` or
+  ``["payment", name, payment, compensation, bonus]``;
+* :meth:`CheckpointStore.load` replays the records onto the last
+  snapshot, and returns the checkpoint a full save at that moment
+  would have written.
 
 Two properties matter and are enforced by tests and the chaos harness:
 
@@ -124,95 +139,123 @@ class CoordinatorCheckpoint:
 
 
 class CheckpointStore:
-    """A durable slot for the latest checkpoint, plus a payment journal.
+    """One round's write-ahead log: a base snapshot plus appended records.
 
-    Stores the *serialised* form: every save round-trips through JSON,
-    so anything that would not survive a real process restart fails
-    loudly in tests rather than silently working in memory.
+    Stores the *serialised* form: every snapshot and every record
+    round-trips through JSON, so anything that would not survive a real
+    process restart fails loudly in tests rather than silently working
+    in memory.
 
-    Snapshots are O(n) to write, which is fine once per phase but ruins
-    the settle phase if taken once per payment (O(n²) per round).  The
-    journal is the classic WAL answer: :meth:`append_payment` records a
-    single ledger entry in O(1) *on top of* the last snapshot, and
-    :meth:`load` folds the journal back into ``payments_sent``.  Saving
-    a fresh snapshot subsumes (and clears) the journal.
+    Snapshots are O(n) to write, so a coordinator calls :meth:`save`
+    only at a phase transition and logs each event in between in O(1)
+    (:meth:`append_bid`, :meth:`append_report`, :meth:`append_payment`);
+    per-event snapshots would make a round O(n²).  Saving a fresh
+    snapshot subsumes (and clears) the log.
     """
 
     def __init__(self) -> None:
         self._payload: str | None = None
-        self._journal: list[str] = []
+        self._records: list[str] = []
         self.saves = 0
         self.appends = 0
 
     @property
     def has_snapshot(self) -> bool:
-        """Whether a base snapshot exists for the journal to build on."""
+        """Whether a base snapshot exists for the log to build on."""
         return self._payload is not None
 
+    @property
+    def records(self) -> int:
+        """Log records written since the last snapshot."""
+        return len(self._records)
+
     def save(self, checkpoint: CoordinatorCheckpoint) -> None:
-        """Persist ``checkpoint``, replacing any previous one."""
+        """Persist ``checkpoint``, replacing any previous one and the log."""
         with timed_section("resilience.checkpoint.save.seconds"):
             self._payload = checkpoint.to_json()
-        self._journal.clear()
+        self._records.clear()
         self.saves += 1
         record_counter("resilience.checkpoint.saves")
+
+    def append_bid(self, name: str, bid: float) -> None:
+        """Log one recorded bid (after any remediation override)."""
+        self._append("bid", name, (float(bid),))
+
+    def append_report(
+        self, name: str, jobs_completed: int, mean_sojourn: float
+    ) -> None:
+        """Log one received completion report."""
+        self._append("report", name, (int(jobs_completed), float(mean_sojourn)))
 
     def append_payment(
         self, name: str, amounts: tuple[float, float, float]
     ) -> None:
-        """Journal one issued payment in O(1), relative to the snapshot.
+        """Log one issued payment: (payment, compensation, bonus)."""
+        payment, compensation, bonus = amounts
+        self._append(
+            "payment", name, (float(payment), float(compensation), float(bonus))
+        )
 
-        The entry is serialised immediately — same durability discipline
-        as :meth:`save` — so a write-ahead per-payment record costs one
-        three-float JSON line instead of a full O(n) snapshot.
+    def _append(self, kind: str, name: str, values: tuple) -> None:
+        """Serialise one ``[kind, name, *values]`` record in O(1).
+
+        The record is encoded immediately — the same durability
+        discipline as :meth:`save` — so it costs one short JSON line
+        instead of a full O(n) snapshot.
         """
         if self._payload is None:
             raise RuntimeError(
-                "cannot journal a payment with no base snapshot saved"
+                f"cannot journal a {kind} with no base snapshot saved"
             )
-        payment, compensation, bonus = amounts
-        payment = float(payment)
-        compensation = float(compensation)
-        bonus = float(bonus)
-        # repr() of a finite float is shortest-round-trip decimal, which
-        # is valid JSON — the fast path skips the json encoder entirely
-        # (this is the per-payment hot path; see bench_sharded.py).
-        # Names needing escapes and non-finite values take the slow path.
+        total = sum(values)
+        # repr() of a finite float (or any int) is shortest-round-trip
+        # decimal, which is valid JSON — the fast path skips the json
+        # encoder entirely (this is the per-event hot path).  A finite
+        # sum implies every value is finite; names needing escapes and
+        # non-finite values take the slow path.
         if (
-            '"' not in name
+            total - total == 0.0
+            and '"' not in name
             and "\\" not in name
             and name.isprintable()
-            and payment - payment == 0.0
-            and compensation - compensation == 0.0
-            and bonus - bonus == 0.0
         ):
-            entry = f'["{name}", [{payment!r}, {compensation!r}, {bonus!r}]]'
+            entry = f'["{kind}", "{name}", {", ".join(map(repr, values))}]'
         else:
-            entry = json.dumps([name, [payment, compensation, bonus]])
-        self._journal.append(entry)
+            entry = json.dumps([kind, name, *values])
+        self._records.append(entry)
         self.appends += 1
 
     def load(self) -> CoordinatorCheckpoint | None:
-        """The most recent checkpoint, or ``None`` if nothing was saved.
+        """The current checkpoint, or ``None`` if nothing was saved.
 
-        Journalled payments are folded into ``payments_sent`` so the
-        restore path sees one coherent ledger regardless of whether the
-        entries arrived via snapshot or append.
+        The logged records are replayed in order onto the snapshot's
+        bids, reports and ``payments_sent``, so the restore path sees
+        one coherent state whether an event arrived via snapshot or log.
         """
         if self._payload is None:
             return None
         with timed_section("resilience.checkpoint.load.seconds"):
             checkpoint = CoordinatorCheckpoint.from_json(self._payload)
-            if self._journal:
+            if self._records:
+                bids = dict(checkpoint.bids)
+                reports = dict(checkpoint.reports)
                 payments = dict(checkpoint.payments_sent)
-                for line in self._journal:
-                    name, amounts = json.loads(line)
-                    payments[name] = tuple(float(x) for x in amounts)
-                checkpoint = replace(checkpoint, payments_sent=payments)
+                for kind, name, *values in json.loads(
+                    "[" + ",".join(self._records) + "]"
+                ):
+                    if kind == "bid":
+                        bids[name] = float(values[0])
+                    elif kind == "report":
+                        reports[name] = (int(values[0]), float(values[1]))
+                    else:
+                        payments[name] = tuple(float(x) for x in values)
+                checkpoint = replace(
+                    checkpoint, bids=bids, reports=reports, payments_sent=payments
+                )
         record_counter("resilience.checkpoint.loads")
         return checkpoint
 
     def clear(self) -> None:
         """Drop the stored checkpoint (end of a completed round)."""
         self._payload = None
-        self._journal.clear()
+        self._records.clear()

@@ -17,10 +17,13 @@ through all of that:
   to the survivors via the *incremental* PR state (an O(changes)
   update, not an O(n) recompute);
 * **coordinator recovery** — the per-round
-  :class:`SupervisedCoordinator` write-ahead-checkpoints its inputs to
-  a :class:`~repro.resilience.checkpoint.CheckpointStore`; a crashed
-  coordinator is restored from the serialized checkpoint and either
-  resumes the round or voids it, never paying a machine twice.
+  :class:`SupervisedCoordinator` keeps one write-ahead log per round in
+  a :class:`~repro.resilience.checkpoint.CheckpointStore`: a full
+  snapshot at each phase transition (at most four per clean round) and
+  an O(1) record per bid, report and payment in between; a crashed
+  coordinator is restored from the snapshot plus the replayed records
+  and either resumes the round or voids it, never paying a machine
+  twice.
 
 The supervisor is deliberately deterministic given its seed: the chaos
 harness (:mod:`repro.resilience.chaos`) replays identical fault
@@ -100,11 +103,12 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
     * ``allocator`` — optional override for the allocation step, so the
       supervisor can serve loads from its incremental PR state instead
       of recomputing from scratch;
-    * ``checkpoint_store`` — write-ahead persistence of phase, bids,
-      loads, reports, and issued payments at every state transition;
+    * ``checkpoint_store`` — the round's write-ahead log: a full
+      snapshot at every phase transition, and one O(1) record per
+      bid, report, and issued payment in between;
     * ``payments_sent`` — the at-most-once ledger: a payment is
-      recorded (and checkpointed) *before* its notice is sent, and
-      never re-issued by a restored coordinator;
+      recorded (and logged) *before* its notice is sent, and never
+      re-issued by a restored coordinator;
     * ``fail_after_payments`` — chaos hook: raise
       :class:`CoordinatorCrash` once that many payments were issued;
     * ``min_participants`` — rounds that shrink below this many
@@ -131,6 +135,12 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
 
     # --------------------------------------------------------- overrides
 
+    def _set_phase(self, phase: ProtocolPhase) -> None:
+        # Every transition is a snapshot, written before the messages
+        # of the new phase go out; events in between are log records.
+        super()._set_phase(phase)
+        self._save_checkpoint()
+
     def _record_bid(self, reply) -> None:
         override = self.bid_overrides.get(reply.sender)
         if override is not None and override > reply.bid:
@@ -143,23 +153,20 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
             )
             reply = replace(reply, bid=float(override))
         super()._record_bid(reply)
+        if self.checkpoint_store is not None:
+            self.checkpoint_store.append_bid(reply.sender, reply.bid)
 
-    def _on_bid(self, reply) -> None:
-        super()._on_bid(reply)
-        if self.phase is ProtocolPhase.BIDDING:
-            self._save_checkpoint()
-
-    def _on_report(self, report) -> None:
-        phase_before = self.phase
-        super()._on_report(report)
-        if self.phase is phase_before:
-            self._save_checkpoint()
+    def _record_report(self, report) -> None:
+        super()._record_report(report)
+        if self.checkpoint_store is not None:
+            self.checkpoint_store.append_report(
+                report.sender, report.jobs_completed, report.mean_sojourn
+            )
 
     def _allocate_to_responders(self) -> None:
         responders = [n for n in self.machine_names if n in self._bids]
         if len(responders) < self.min_participants:
             self.void_round()
-            self._save_checkpoint()
             return
         self.excluded = [n for n in self.machine_names if n not in self._bids]
         self.machine_names = responders
@@ -172,7 +179,6 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
             allocation = self.mechanism.allocate(bids, self.arrival_rate)
         self._loads = allocation.loads
         self._set_phase(ProtocolPhase.EXECUTING)
-        self._save_checkpoint()
         for name, load in zip(self.machine_names, allocation.loads):
             self.network.send(
                 AllocationNotice(
@@ -183,15 +189,9 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
             self.on_allocated(allocation.loads)
 
     def _finish_with_missing(self, missing: set[str]) -> None:
-        self._set_phase(ProtocolPhase.VERIFYING)
         self.withheld = sorted(missing)
-        self._save_checkpoint()
+        self._set_phase(ProtocolPhase.VERIFYING)
         self._complete_verification()
-
-    def void_round(self) -> None:
-        """Abandon the round and checkpoint the terminal state."""
-        super().void_round()
-        self._save_checkpoint()
 
     # --------------------------------------------------------- verification
 
@@ -241,7 +241,8 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
                 )
             # Write-ahead: record and persist the intent, then send.
             self.payments_sent[name] = amounts
-            self._save_checkpoint()
+            if self.checkpoint_store is not None:
+                self.checkpoint_store.append_payment(name, amounts)
             self.network.send(
                 PaymentNotice(
                     sender=COORDINATOR_NAME,
@@ -252,7 +253,6 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
                 )
             )
         self._set_phase(ProtocolPhase.DONE)
-        self._save_checkpoint()
 
     # --------------------------------------------------------- persistence
 
@@ -419,7 +419,8 @@ class _IncrementalAllocator:
 
     def __init__(self) -> None:
         self._state: IncrementalPRState | None = None
-        self._names: list[str] = []
+        # name -> index in the state; insertion order is index order.
+        self._position: dict[str, int] = {}
         self.incremental_ops = 0
         self.rebuilds = 0
 
@@ -432,8 +433,8 @@ class _IncrementalAllocator:
         with timed_section("allocation.incremental.seconds"):
             self._reconcile(names, bids, arrival_rate)
             assert self._state is not None
-            order = [self._names.index(n) for n in names]
-            loads = self._state.loads()[order]
+            position = self._position
+            loads = self._state.loads()[[position[n] for n in names]]
         if self.incremental_ops > ops_before:
             record_counter(
                 "allocation.incremental.ops", self.incremental_ops - ops_before
@@ -456,28 +457,33 @@ class _IncrementalAllocator:
         if (
             self._state is None
             or self._state.arrival_rate != arrival_rate
-            or not set(self._names) & set(wanted)
+            or self._position.keys().isdisjoint(wanted)
         ):
             self._state = IncrementalPRState(
                 np.array([wanted[n] for n in names]), arrival_rate
             )
-            self._names = list(names)
+            self._position = {n: i for i, n in enumerate(names)}
             self.rebuilds += 1
             return
-        for name in [n for n in self._names if n not in wanted]:
-            index = self._names.index(name)
-            self._state.remove_machine(index)
-            del self._names[index]
-            self.incremental_ops += 1
-        for index, name in enumerate(self._names):
+        state = self._state
+        gone = [i for n, i in self._position.items() if n not in wanted]
+        if gone:
+            # Indices shift down as machines leave: the k-th removal
+            # sits k places below its original position.
+            for removed, index in enumerate(gone):
+                state.remove_machine(index - removed)
+            kept = [n for n in self._position if n in wanted]
+            self._position = {n: i for i, n in enumerate(kept)}
+            self.incremental_ops += len(gone)
+        current = state.bids  # one copy; update_bid touches only its own slot
+        for name, index in self._position.items():
             bid = wanted[name]
-            if bid != self._state.bids[index]:
-                self._state.update_bid(index, bid)
+            if bid != current[index]:
+                state.update_bid(index, bid)
                 self.incremental_ops += 1
         for name in names:
-            if name not in self._names:
-                self._state.add_machine(wanted[name])
-                self._names.append(name)
+            if name not in self._position:
+                self._position[name] = state.add_machine(wanted[name])
                 self.incremental_ops += 1
 
 

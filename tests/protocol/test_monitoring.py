@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.protocol.monitoring import (
     CusumSlowdownDetector,
@@ -65,6 +67,12 @@ class TestDetectorMechanics:
         with pytest.raises(ValueError):
             detector.observe(-1.0)
 
+    def test_negative_sojourn_in_a_batch_still_raises(self):
+        detector = CusumSlowdownDetector(1.0, 1.0)
+        with pytest.raises(ValueError):
+            detector.observe_many(np.array([0.5, -1.0, 0.5]))
+        assert detector.jobs_observed == 1  # consumed up to the bad job
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             CusumSlowdownDetector(0.0, 1.0)
@@ -73,6 +81,58 @@ class TestDetectorMechanics:
         with pytest.raises(ValueError):
             CusumSlowdownDetector(1.0, 1.0, slack=-0.1)
 
+
+
+def _state(detector: CusumSlowdownDetector):
+    return (
+        detector.statistic,
+        detector.jobs_observed,
+        detector._sojourn_total,
+        detector.alert,
+    )
+
+
+_sojourn = st.floats(min_value=0.0, max_value=40.0)
+
+
+class TestObserveManyScreen:
+    """The zero-statistic screen leaves the detector as the per-job loop would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        declared=st.floats(min_value=0.1, max_value=10.0),
+        load=st.floats(min_value=0.1, max_value=10.0),
+        slack=st.floats(min_value=0.0, max_value=2.0),
+        threshold=st.floats(min_value=0.5, max_value=30.0),
+        warmup=st.lists(_sojourn, max_size=5),
+        batches=st.lists(st.lists(_sojourn, max_size=40), min_size=1, max_size=4),
+    )
+    def test_state_is_bit_identical_to_the_per_job_loop(
+        self, declared, load, slack, threshold, warmup, batches
+    ):
+        kwargs = dict(threshold=threshold, slack=slack)
+        screened = CusumSlowdownDetector(declared, load, **kwargs)
+        looped = CusumSlowdownDetector(declared, load, **kwargs)
+        for sojourn in warmup:  # sometimes leaves a non-zero statistic
+            screened.observe(sojourn)
+            looped.observe(sojourn)
+        for batch in batches:
+            got = screened.observe_many(np.array(batch, dtype=np.float64))
+            want = looped.alert
+            if want is None:
+                for sojourn in batch:
+                    if looped.observe(sojourn) is not None:
+                        break
+                want = looped.alert
+            assert got == want
+            assert repr(_state(screened)) == repr(_state(looped))
+
+    def test_screened_batch_advances_count_and_total_only(self):
+        detector = CusumSlowdownDetector(2.0, 1.0, slack=0.5)
+        assert detector.observe_many(np.array([1.0, 2.0, 3.0])) is None
+        assert detector.statistic == 0.0
+        assert detector.jobs_observed == 3
+        assert detector._sojourn_total == 6.0
 
 class TestDetectionCharacteristics:
     def test_detects_big_slowdown_quickly(self):

@@ -245,3 +245,57 @@ class TestMechanismIntegrity:
         outcome = mech.run(np.array(TRUE_VALUES), 1.2, np.array(TRUE_VALUES))
         for name, expected in zip(sup.machine_names, outcome.payments.payment):
             assert result.payments[name] == pytest.approx(expected, abs=1e-9)
+
+
+def _reference_loads(history):
+    """The allocator's pre-optimisation algorithm, list scans and all.
+
+    Kept as an oracle: the linear-time allocator must perform the same
+    state updates in the same order, so its loads match bit for bit.
+    """
+    from repro.allocation.incremental import IncrementalPRState
+
+    state, order, out = None, [], []
+    for names, bids in history:
+        wanted = dict(zip(names, (float(b) for b in bids)))
+        if state is None or not set(order) & set(wanted):
+            state = IncrementalPRState(np.array([wanted[n] for n in names]), 4.0)
+            order = list(names)
+        else:
+            for name in [n for n in order if n not in wanted]:
+                index = order.index(name)
+                state.remove_machine(index)
+                del order[index]
+            for index, name in enumerate(order):
+                if wanted[name] != state.bids[index]:
+                    state.update_bid(index, wanted[name])
+            for name in names:
+                if name not in order:
+                    state.add_machine(wanted[name])
+                    order.append(name)
+        out.append(state.loads()[[order.index(n) for n in names]])
+    return out
+
+
+class TestIncrementalAllocator:
+    def test_loads_bit_identical_to_the_reference_under_churn(self):
+        from repro.resilience.supervisor import _IncrementalAllocator
+
+        rng = np.random.default_rng(11)
+        pool = [f"C{i}" for i in range(12)]
+        bids = dict(zip(pool, rng.uniform(1.0, 9.0, len(pool))))
+        history = []
+        for _ in range(60):
+            live = [n for n in rng.permutation(pool) if rng.random() < 0.8]
+            if len(live) < 2:
+                live = pool[:2]
+            for name in live:
+                if rng.random() < 0.2:
+                    bids[name] = float(rng.uniform(1.0, 9.0))
+            history.append((live, np.array([bids[n] for n in live])))
+
+        allocator = _IncrementalAllocator()
+        for (names, round_bids), want in zip(history, _reference_loads(history)):
+            got = allocator.allocate(names, round_bids, 4.0).loads
+            assert got.tobytes() == want.tobytes()
+        assert allocator.rebuilds == 1
