@@ -48,26 +48,26 @@ def as_float_array(values: Iterable[float] | np.ndarray, name: str) -> np.ndarra
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
     return arr
 
 
 def check_finite(arr: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` if ``arr`` contains NaN or infinities."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
 
 
 def check_positive(arr: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` unless every element of ``arr`` is > 0."""
-    if np.any(arr <= 0.0):
+    if (np.asarray(arr) <= 0.0).any():
         raise ValueError(f"all elements of {name} must be strictly positive")
 
 
 def check_nonnegative(arr: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` unless every element of ``arr`` is >= 0."""
-    if np.any(arr < 0.0):
+    if (np.asarray(arr) < 0.0).any():
         raise ValueError(f"all elements of {name} must be non-negative")
 
 

@@ -118,7 +118,10 @@ def pr_allocation(t: np.ndarray, arrival_rate: float) -> AllocationResult:
         loads=loads,
         arrival_rate=arrival_rate,
         bids=t,
-        total_latency=arrival_rate**2 / total_inv,
+        # R * R, not R**2: a float's ``**`` calls libm ``pow``, which can
+        # miss the correctly rounded square by an ulp; the pricing kernel
+        # squares elementwise, and both must give the same L*.
+        total_latency=arrival_rate * arrival_rate / total_inv,
     )
 
 

@@ -37,7 +37,8 @@ from repro._validation import (
 from repro.distributed.aggregation import AggregationStats, tree_sum
 from repro.distributed.privacy import SecureSumAggregation
 from repro.distributed.topology import Overlay, tree_overlay
-from repro.types import AllocationResult, MechanismOutcome, PaymentResult
+from repro.mechanism.pricing import price_from_sums
+from repro.types import AllocationResult, MechanismOutcome
 
 __all__ = ["DistributedOutcome", "DistributedVerificationMechanism"]
 
@@ -152,10 +153,9 @@ class DistributedVerificationMechanism:
         realised_latency, stats2, shares2 = self._aggregate(overlay, local_costs)
 
         # --- Local payment computation at every machine. ---
-        excluded = arrival_rate**2 / (total_inverse - inverse_bids)
-        compensation = local_costs
-        bonus = excluded - realised_latency
-        valuation = -local_costs
+        priced = price_from_sums(
+            bids, execution_values, arrival_rate, total_inverse, realised_latency
+        )
 
         allocation = AllocationResult(
             loads=loads,
@@ -163,12 +163,9 @@ class DistributedVerificationMechanism:
             bids=bids,
             total_latency=float(np.dot(bids, loads**2)),
         )
-        payments = PaymentResult(
-            compensation=compensation, bonus=bonus, valuation=valuation
-        )
         outcome = MechanismOutcome(
             allocation=allocation,
-            payments=payments,
+            payments=priced.payments_of(0),
             execution_values=execution_values,
             true_values=true_values,
             metadata={

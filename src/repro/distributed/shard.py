@@ -34,6 +34,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.agents.base import Agent
+from repro.mechanism.pricing import price_from_sums
 from repro.protocol.coordinator import ProtocolPhase
 from repro.protocol.execution import dispatch_batched
 from repro.protocol.monitoring import CusumSlowdownDetector
@@ -440,19 +441,13 @@ class CoordinatorShard:
         """
         if self._estimates is None:
             raise RuntimeError("no execution reports yet")
-        bids = self.bids_vector()
-        inv = 1.0 / bids
         rate = self.arrival_rate
-        loads = rate * inv / total_inverse
         realised = (rate / total_inverse) ** 2 * total_quotient
-        excluded = rate**2 / (total_inverse - inv)
-        compensation = self._estimates * loads**2
-        bonus = excluded - realised
-        payment = compensation + bonus
-        return {
-            name: (float(payment[k]), float(compensation[k]), float(bonus[k]))
-            for k, name in enumerate(self.machine_names)
-        }
+        priced = price_from_sums(
+            self.bids_vector(), self._estimates, rate, total_inverse, realised
+        )
+        columns = (priced.payment[0], priced.compensation[0], priced.bonus[0])
+        return dict(zip(self.machine_names, zip(*(c.tolist() for c in columns))))
 
     def settle(
         self, amounts: Mapping[str, tuple[float, float, float]]

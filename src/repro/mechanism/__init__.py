@@ -11,6 +11,8 @@
   Archer & Tardos (FOCS 2001, the paper's ref [2]) instantiated for
   linear latencies via the work curve ``w_i = x_i^2``; the approach of
   the companion paper (ref [8]).
+* :mod:`repro.mechanism.pricing` — the one pricing kernel behind all
+  of them: a rule table of compensation and bonus terms over ``(B, n)`` rows.
 * :mod:`repro.mechanism.properties` — audits for truthfulness,
   voluntary participation, and frugality.
 """
@@ -21,6 +23,7 @@ from repro.mechanism.vcg import VCGMechanism
 from repro.mechanism.archer_tardos import ArcherTardosMechanism
 from repro.mechanism.mm1_mechanism import MM1TruthfulMechanism
 from repro.mechanism.batch import BatchOutcome, batch_run, batch_utility_of_agent
+from repro.mechanism.pricing import NonFiniteOutcomeError
 from repro.mechanism.properties import (
     best_deviation_gain,
     truthfulness_audit,
@@ -37,6 +40,7 @@ __all__ = [
     "BatchOutcome",
     "batch_run",
     "batch_utility_of_agent",
+    "NonFiniteOutcomeError",
     "best_deviation_gain",
     "truthfulness_audit",
     "voluntary_participation_margin",

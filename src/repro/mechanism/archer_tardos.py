@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.allocation.pr import pr_allocation
 from repro.mechanism.base import Mechanism
+from repro.mechanism.pricing import work_integral
 from repro.types import AllocationResult, PaymentResult
 
 __all__ = ["ArcherTardosMechanism"]
@@ -57,35 +58,14 @@ class ArcherTardosMechanism(Mechanism):
         execution_values: np.ndarray,
     ) -> PaymentResult:
         """Closed-form Archer–Tardos payments (vectorised over agents)."""
-        bids = allocation.bids
-        rate = allocation.arrival_rate
-        loads_sq = allocation.loads**2
-
-        inv = 1.0 / bids
-        s_minus = inv.sum() - inv  # S_{-i} for every agent at once
-        compensation = bids * loads_sq
-        bonus = self.payment_integral(bids, s_minus, rate)
-        valuation = -execution_values * loads_sq
-        return PaymentResult(
-            compensation=compensation, bonus=bonus, valuation=valuation
-        )
+        return self._price(allocation, execution_values, "archer-tardos")
 
     # ------------------------------------------------------------ checks
 
-    @staticmethod
-    def payment_integral(bids, s_minus, arrival_rate: float):
-        """Closed form of the Archer–Tardos work integral (vectorised).
-
-        ``integral_{b}^{inf} (R / (u S_{-i} + 1))^2 du
-        = R^2 / (S_{-i} (b S_{-i} + 1))`` — the bonus term of
-        :meth:`payments`, exposed so callers (and the regression test
-        against :meth:`payment_integral_numeric`) can evaluate it
-        without running the whole mechanism.  Accepts scalars or
-        broadcast-compatible arrays.
-        """
-        bids = np.asarray(bids, dtype=np.float64)
-        s_minus = np.asarray(s_minus, dtype=np.float64)
-        return arrival_rate**2 / (s_minus * (bids * s_minus + 1.0))
+    #: The closed-form work integral, the bonus term of :meth:`payments`,
+    #: exposed so callers (and the regression test against
+    #: :meth:`payment_integral_numeric`) can evaluate it alone.
+    payment_integral = staticmethod(work_integral)
 
     @staticmethod
     def payment_integral_numeric(

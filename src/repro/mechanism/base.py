@@ -20,6 +20,7 @@ from repro._validation import (
     check_positive_scalar,
     check_same_length,
 )
+from repro.mechanism.pricing import price_rows
 from repro.types import AllocationResult, MechanismOutcome, PaymentResult
 
 __all__ = ["Mechanism"]
@@ -120,6 +121,11 @@ class Mechanism(ABC):
     # ------------------------------------------------------------ helpers
 
     @staticmethod
-    def _valuations(allocation: AllocationResult, execution_values: np.ndarray) -> np.ndarray:
-        """Agents' valuations ``V_i = -t̃_i x_i^2`` (the negated cost)."""
-        return -execution_values * allocation.loads**2
+    def _price(
+        allocation: AllocationResult, execution_values: np.ndarray, rule: str
+    ) -> PaymentResult:
+        """One profile through the shared pricing kernel (``B = 1``)."""
+        executions = np.asarray(execution_values, dtype=np.float64)[None, :]
+        return price_rows(
+            allocation.bids[None, :], executions, allocation.arrival_rate, rule
+        ).payments_of(0)

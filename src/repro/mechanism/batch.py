@@ -7,52 +7,24 @@ handful of ``(K, n)`` array operations instead of ``K`` Python-level
 mechanism runs — the classic vectorise-the-outer-loop optimisation
 (~50x at K = 10^4; measured in ``bench_batch.py``).
 
-Exactness is part of the contract: ``batch_run`` must agree with
-:class:`~repro.mechanism.VerificationMechanism` bit-for-bit up to
-floating-point associativity (tested against the scalar path on random
-batches).
+``batch_run`` only validates and packages: the pricing is
+:func:`repro.mechanism.pricing.price_rows`, the same kernel
+:class:`~repro.mechanism.VerificationMechanism` prices one profile
+with, so every row equals the per-profile run bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro._validation import check_positive_scalar
+from repro.mechanism.pricing import PricedRows, price_rows
 
 __all__ = ["BatchOutcome", "batch_run", "batch_utility_of_agent"]
 
 
-@dataclass(frozen=True)
-class BatchOutcome:
-    """Per-profile mechanism results, all arrays of shape ``(K, n)``.
-
-    ``payment = compensation + bonus`` and ``utility = payment +
-    valuation`` hold element-wise, exactly as in
-    :class:`~repro.types.PaymentResult`.
-    """
-
-    loads: np.ndarray
-    realised_latency: np.ndarray  # shape (K,)
-    compensation: np.ndarray
-    bonus: np.ndarray
-    valuation: np.ndarray
-
-    @property
-    def payment(self) -> np.ndarray:
-        """Per-profile per-agent payments."""
-        return self.compensation + self.bonus
-
-    @property
-    def utility(self) -> np.ndarray:
-        """Per-profile per-agent utilities."""
-        return self.payment + self.valuation
-
-    @property
-    def n_profiles(self) -> int:
-        """Number of profiles in the batch."""
-        return int(self.loads.shape[0])
+#: :func:`batch_run`'s result: the kernel's rows, one per profile.
+BatchOutcome = PricedRows
 
 
 def _validate_matrix(values: np.ndarray, name: str) -> np.ndarray:
@@ -68,51 +40,12 @@ def _validate_matrix(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def _batch_kernel(
-    bids: np.ndarray,
-    arrival_rate: float,
-    execution_values: np.ndarray,
-    compensation: str,
-) -> BatchOutcome:
-    """The validated closed-form batch evaluation (one row = one profile)."""
-    inv = 1.0 / bids                                   # (K, n)
-    total_inv = inv.sum(axis=1, keepdims=True)         # (K, 1)
-    loads = arrival_rate * inv / total_inv             # (K, n)
-    loads_sq = loads * loads
-
-    realised = np.einsum("kn,kn->k", execution_values, loads_sq)  # (K,)
-    excluded = arrival_rate**2 / (total_inv - inv)     # (K, n): L_{-i}
-    bonus = excluded - realised[:, None]
-
-    if compensation == "observed":
-        comp = execution_values * loads_sq
-    else:
-        comp = bids * loads_sq
-    valuation = -execution_values * loads_sq
-
-    return BatchOutcome(
-        loads=loads,
-        realised_latency=realised,
-        compensation=comp,
-        bonus=bonus,
-        valuation=valuation,
-    )
-
-
-def _kernel_slice(args: tuple) -> BatchOutcome:
-    """Picklable per-chunk worker for the parallel batch path."""
-    bids, arrival_rate, execution_values, compensation = args
-    return _batch_kernel(bids, arrival_rate, execution_values, compensation)
-
-
 def batch_run(
     bids: np.ndarray,
     arrival_rate: float,
     execution_values: np.ndarray | None = None,
     *,
     compensation: str = "observed",
-    workers: int = 0,
-    chunk_size: int | None = None,
 ) -> BatchOutcome:
     """Evaluate the verification mechanism at ``K`` profiles at once.
 
@@ -127,15 +60,6 @@ def batch_run(
     compensation:
         ``"observed"`` (Definition 3.3) or ``"declared"`` — the same
         modes as :class:`~repro.mechanism.VerificationMechanism`.
-    workers:
-        ``> 1`` splits the batch into row chunks and fans them over a
-        process pool via :func:`repro.parallel.parallel_map`.  Rows are
-        independent, so the concatenated result is bit-identical to
-        the serial evaluation.  Worth it only for very large ``K``
-        (the serial kernel already vectorises); default is serial.
-    chunk_size:
-        Rows per chunk when ``workers > 1`` (default: an even split,
-        ``ceil(K / (workers * 4))``).
     """
     bids = _validate_matrix(bids, "bids")
     arrival_rate = check_positive_scalar(arrival_rate, "arrival_rate")
@@ -147,34 +71,7 @@ def batch_run(
             raise ValueError("execution_values must have the same shape as bids")
     if compensation not in ("observed", "declared"):
         raise ValueError("compensation must be 'observed' or 'declared'")
-    if bids.shape[1] < 2:
-        raise ValueError("leave-one-out bonuses require at least two machines")
-
-    n_profiles = bids.shape[0]
-    if workers > 1 and n_profiles > 1:
-        from repro.parallel.engine import default_chunk_size, parallel_map
-
-        size = chunk_size or default_chunk_size(n_profiles, workers)
-        tasks = [
-            (
-                bids[start : start + size],
-                arrival_rate,
-                execution_values[start : start + size],
-                compensation,
-            )
-            for start in range(0, n_profiles, size)
-        ]
-        parts = parallel_map(_kernel_slice, tasks, workers=workers, chunk_size=1)
-        return BatchOutcome(
-            loads=np.concatenate([p.loads for p in parts]),
-            realised_latency=np.concatenate(
-                [p.realised_latency for p in parts]
-            ),
-            compensation=np.concatenate([p.compensation for p in parts]),
-            bonus=np.concatenate([p.bonus for p in parts]),
-            valuation=np.concatenate([p.valuation for p in parts]),
-        )
-    return _batch_kernel(bids, arrival_rate, execution_values, compensation)
+    return price_rows(bids, execution_values, arrival_rate, compensation)
 
 
 def batch_utility_of_agent(

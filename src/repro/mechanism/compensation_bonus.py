@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.allocation.pr import optimal_latency_excluding_each, pr_allocation
+from repro.allocation.pr import pr_allocation
 from repro.mechanism.base import Mechanism
-from repro.observability.instrumentation import timed_section
 from repro.types import AllocationResult, PaymentResult
 
 __all__ = ["VerificationMechanism"]
@@ -117,23 +116,7 @@ class VerificationMechanism(Mechanism):
         >>> pay.bonus                 # L_{-i}* − L(x, t̃) = [18, 9] − 6
         array([12.,  3.])
         """
-        with timed_section("mechanism.payments.seconds"):
-            loads_sq = allocation.loads**2
-            realised_latency = float(np.dot(execution_values, loads_sq))
-            excluded = optimal_latency_excluding_each(
-                allocation.bids, allocation.arrival_rate
-            )
-
-            if self.compensation_mode == "observed":
-                compensation = execution_values * loads_sq
-            else:
-                compensation = allocation.bids * loads_sq
-
-            bonus = excluded - realised_latency
-            valuation = -execution_values * loads_sq
-        return PaymentResult(
-            compensation=compensation, bonus=bonus, valuation=valuation
-        )
+        return self._price(allocation, execution_values, self.compensation_mode)
 
     # ------------------------------------------------------------ analysis
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.allocation.pr import optimal_latency_excluding_each, pr_allocation
+from repro.allocation.pr import pr_allocation
 from repro.mechanism.base import Mechanism
 from repro.types import AllocationResult, PaymentResult
 
@@ -52,17 +52,7 @@ class VCGMechanism(Mechanism):
         execution_values: np.ndarray,
     ) -> PaymentResult:
         """Clarke payments; ``execution_values`` only affect valuations."""
-        loads_sq = allocation.loads**2
-        declared_latency = float(np.dot(allocation.bids, loads_sq))
-        excluded = optimal_latency_excluding_each(
-            allocation.bids, allocation.arrival_rate
-        )
-        compensation = allocation.bids * loads_sq
-        bonus = excluded - declared_latency
-        valuation = -execution_values * loads_sq
-        return PaymentResult(
-            compensation=compensation, bonus=bonus, valuation=valuation
-        )
+        return self._price(allocation, execution_values, "vcg")
 
     def __repr__(self) -> str:
         return "VCGMechanism()"

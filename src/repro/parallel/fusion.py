@@ -32,22 +32,12 @@ equal — every float, through ``repr`` and back — to the payload
 :func:`execute_unit` produces for the same unit, so cohort results
 scatter into the existing :class:`~repro.parallel.cache.ResultCache`
 under unchanged keys and warm-cache / ``--resume`` behaviour is
-untouched.  Two NumPy facts make exactness possible (asserted by
-``tests/parallel/test_fusion.py`` and re-asserted before every timing
-run of ``benchmarks/bench_campaign_fusion.py``):
-
-* reducing a C-contiguous ``(U, n)`` block along its last axis applies
-  the same pairwise summation to each row that ``row.sum()`` applies
-  to a lone vector, so the stacked ``S`` totals match the per-unit
-  ones bit for bit;
-* the batched matrix product ``(U, 1, n) @ (U, n, 1)`` runs the same
-  BLAS dot per row that ``np.dot(e, x**2)`` runs per unit, so realised
-  latencies match bit for bit (a plain ``(E * X).sum(axis=1)`` or
-  ``einsum`` would *not* — different reduction order).
-
-Every remaining operation is elementwise, and IEEE-754 elementwise
-arithmetic is deterministic regardless of how the operands are
-stacked.
+untouched.  Parity holds by construction: the per-unit path prices one
+profile through :func:`repro.mechanism.pricing.price_rows` and a cohort
+prices its ``(U, n)`` block through the same function, whose rows do
+not depend on how many are stacked (``tests/parallel/test_fusion.py``
+and ``benchmarks/bench_campaign_fusion.py`` still check it).  This
+module only stacks the profiles and packages the payloads.
 
 Validation note: fused cohorts skip :meth:`Mechanism.run`'s input
 checks on purpose.  ``ExperimentUnit.__post_init__`` already enforces
@@ -63,6 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.mechanism.pricing import RULES, price_rows
 from repro.parallel.units import ExperimentUnit
 
 __all__ = [
@@ -78,11 +69,6 @@ __all__ = [
 #: ``off`` keeps the pure per-unit path.
 FUSE_MODES = ("auto", "on", "off")
 
-#: Scenario variants with a stacked closed form.  ``dynamics`` is
-#: deliberately absent: it iterates best responses to a fixed point,
-#: so it has no single-broadcast evaluation.
-_FUSABLE_VARIANTS = ("observed", "declared", "vcg", "archer-tardos")
-
 
 def fusable(unit: ExperimentUnit) -> bool:
     """Whether one unit can join a fused cohort.
@@ -92,7 +78,7 @@ def fusable(unit: ExperimentUnit) -> bool:
     iterated ``dynamics`` variant fall back to
     :func:`~repro.parallel.units.execute_unit`.
     """
-    return unit.kind == "scenario" and unit.variant in _FUSABLE_VARIANTS
+    return unit.kind == "scenario" and unit.variant in RULES
 
 
 def cohort_key(unit: ExperimentUnit) -> tuple[str, int]:
@@ -150,17 +136,16 @@ def partition_pending(
 
 def _stack_profiles(
     units: Sequence[ExperimentUnit],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(true_values, bids, executions, rates)`` for one cohort.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(bids, executions, rates)`` for one cohort.
 
     Row ``k`` applies unit ``k``'s ``(bid_factor, execution_factor)``
     to its coalition exactly as the per-unit ``_profile`` does — the
     same in-place fancy-index multiply on a row view, so every entry
     is bit-identical to the per-unit arrays.
     """
-    true_values = np.array([unit.true_values for unit in units], dtype=np.float64)
-    bids = true_values.copy()
-    executions = true_values.copy()
+    bids = np.array([unit.true_values for unit in units], dtype=np.float64)
+    executions = bids.copy()
     for row, unit in enumerate(units):
         liars = (
             list(unit.manipulators)
@@ -170,18 +155,7 @@ def _stack_profiles(
         bids[row, liars] *= unit.bid_factor
         executions[row, liars] *= unit.execution_factor
     rates = np.array([unit.arrival_rate for unit in units], dtype=np.float64)
-    return true_values, bids, executions, rates
-
-
-def _row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-row dot products via one batched BLAS call.
-
-    ``(U, 1, n) @ (U, n, 1)`` dispatches the same dot kernel per row
-    that ``np.dot(left[k], right[k])`` uses, which is what makes the
-    stacked realised/declared latencies bit-identical to the per-unit
-    path (``einsum`` and ``(l * r).sum(axis=1)`` are not).
-    """
-    return (left[:, None, :] @ right[:, :, None])[:, 0, 0]
+    return bids, executions, rates
 
 
 def execute_cohort(units: Sequence[ExperimentUnit]) -> list[dict]:
@@ -201,40 +175,11 @@ def execute_cohort(units: Sequence[ExperimentUnit]) -> list[dict]:
     if not fusable(units[0]):
         raise ValueError(f"variant {variant!r} has no fused evaluation")
 
-    _, bids, executions, rates = _stack_profiles(units)
-    rates_col = rates[:, None]
-
-    # PR allocation, stacked: one row per unit (Theorem 2.1).
-    inv = 1.0 / bids                                   # (U, n)
-    total_inv = inv.sum(axis=1, keepdims=True)         # (U, 1): S per unit
-    loads = rates_col * inv / total_inv                # (U, n)
-    declared_latency = rates**2 / total_inv[:, 0]      # (U,): R^2 / S
-    loads_sq = loads**2
-
-    # Payments, stacked.  ``excluded`` is every leave-one-out optimum
-    # L_{-i}^* = R^2 / S_{-i}; realised/declared totals go through the
-    # batched BLAS dot for bit-parity with the scalar np.dot calls.
-    s_minus = total_inv - inv                          # (U, n): S_{-i}
-    excluded = rates_col**2 / s_minus
-    realised = _row_dots(executions, loads_sq)         # (U,)
-
-    if variant in ("observed", "declared"):
-        compensation = (
-            executions * loads_sq if variant == "observed" else bids * loads_sq
-        )
-        bonus = excluded - realised[:, None]
-    elif variant == "vcg":
-        compensation = bids * loads_sq
-        bonus = excluded - _row_dots(bids, loads_sq)[:, None]
-    else:  # archer-tardos: work-integral bonus, closed form
-        compensation = bids * loads_sq
-        bonus = rates_col**2 / (s_minus * (bids * s_minus + 1.0))
-    valuation = -executions * loads_sq
-
-    payment = compensation + bonus
-    utility = payment + valuation
+    bids, executions, rates = _stack_profiles(units)
+    priced = price_rows(bids, executions, rates, variant)
+    payment, utility = priced.payment, priced.utility
     total_payment = payment.sum(axis=1)
-    total_valuation = np.abs(valuation).sum(axis=1)
+    total_valuation = np.abs(priced.valuation).sum(axis=1)
 
     payloads = []
     for k in range(len(units)):
@@ -243,12 +188,12 @@ def execute_cohort(units: Sequence[ExperimentUnit]) -> list[dict]:
             {
                 "bids": bids[k].tolist(),
                 "execution_values": executions[k].tolist(),
-                "loads": loads[k].tolist(),
-                "declared_latency": float(declared_latency[k]),
-                "realised_latency": float(realised[k]),
-                "compensation": compensation[k].tolist(),
-                "bonus": bonus[k].tolist(),
-                "valuation": valuation[k].tolist(),
+                "loads": priced.loads[k].tolist(),
+                "declared_latency": float(priced.declared_latency[k]),
+                "realised_latency": float(priced.realised_latency[k]),
+                "compensation": priced.compensation[k].tolist(),
+                "bonus": priced.bonus[k].tolist(),
+                "valuation": priced.valuation[k].tolist(),
                 "payment": payment[k].tolist(),
                 "utility": utility[k].tolist(),
                 "frugality_ratio": (

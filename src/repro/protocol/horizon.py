@@ -46,13 +46,11 @@ A fused segment runs in two phases:
   quarantining a machine mid-segment, probes re-admitted) is handled
   naturally because admission still happens round by round.
 * **Phase B (stacked):** all live rounds of the segment are grouped
-  by machine count and priced as one ``(T_seg, n)`` broadcast that
-  mirrors :class:`~repro.mechanism.VerificationMechanism` — the same
-  stacked-row evaluation the fused campaign backend uses
-  (DESIGN.md §14), built on the two pinned NumPy parity facts:
-  C-contiguous last-axis reductions match per-row ``.sum()`` bit for
-  bit, and the batched ``(U,1,n) @ (U,n,1)`` product matches per-row
-  ``np.dot``.  Other mechanism types are priced per round through
+  by machine count and priced as one ``(T_seg, n)`` block through
+  :func:`~repro.mechanism.pricing.price_rows`, the kernel the
+  per-round ``VerificationMechanism.run`` prices its single row with
+  (DESIGN.md §14), so Phase B cannot drift from the sequential
+  pricing.  Other mechanism types are priced per round through
   ``mechanism.run`` while Phase A still skips the protocol tax.
 
 Parity contract
@@ -99,6 +97,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.mechanism.compensation_bonus import VerificationMechanism
+from repro.mechanism.pricing import price_rows
 from repro.observability.instrumentation import (
     annotate,
     observe_value,
@@ -108,7 +107,7 @@ from repro.observability.instrumentation import (
 )
 from repro.protocol.monitoring import CusumSlowdownDetector
 from repro.system.workload import split_assignments
-from repro.types import AllocationResult, MechanismOutcome, PaymentResult
+from repro.types import AllocationResult, MechanismOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (resilience imports protocol)
     from repro.resilience.chaos import RoundFaults
@@ -140,69 +139,6 @@ def fusible_round(
     if faults is None:
         return True
     return bool(getattr(faults, "is_clean", False))
-
-
-def _row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-row dots via one batched BLAS call (bit-equal to ``np.dot``).
-
-    Same helper as ``repro.parallel.fusion._row_dots`` — ``einsum`` or
-    ``(l*r).sum(axis=1)`` reduce in a different order and break parity.
-    """
-    return (left[:, None, :] @ right[:, :, None])[:, 0, 0]
-
-
-def _stacked_verification_outcomes(
-    mechanism: VerificationMechanism,
-    bids: np.ndarray,
-    estimates: np.ndarray,
-    rates: np.ndarray,
-) -> list[MechanismOutcome]:
-    """Price a ``(U, n)`` block of rounds exactly like per-round ``run``.
-
-    Mirrors ``pr_allocation`` + ``VerificationMechanism.payments`` row
-    by row: last-axis reductions for the ``S`` totals, the batched
-    matmul for realised latencies, everything else elementwise — the
-    same three parity facts the campaign fusion backend pins.
-    """
-    rates_col = rates[:, None]
-    inv = 1.0 / bids                                   # (U, n)
-    total_inv = inv.sum(axis=1, keepdims=True)         # (U, 1)
-    loads = rates_col * inv / total_inv                # (U, n)
-    declared_latency = rates**2 / total_inv[:, 0]      # (U,)
-    loads_sq = loads**2
-    s_minus = total_inv - inv                          # (U, n): S_{-i}
-    excluded_latency = rates_col**2 / s_minus
-    realised = _row_dots(estimates, loads_sq)          # (U,)
-    if mechanism.compensation_mode == "observed":
-        compensation = estimates * loads_sq
-    else:
-        compensation = bids * loads_sq
-    bonus = excluded_latency - realised[:, None]
-    valuation = -estimates * loads_sq
-
-    outcomes = []
-    for r in range(bids.shape[0]):
-        allocation = AllocationResult(
-            loads=loads[r],
-            arrival_rate=float(rates[r]),
-            bids=bids[r],
-            total_latency=float(declared_latency[r]),
-        )
-        payments = PaymentResult(
-            compensation=compensation[r],
-            bonus=bonus[r],
-            valuation=valuation[r],
-        )
-        outcomes.append(
-            MechanismOutcome(
-                allocation=allocation,
-                payments=payments,
-                execution_values=estimates[r],
-                true_values=None,
-                metadata={"mechanism": type(mechanism).__name__},
-            )
-        )
-    return outcomes
 
 
 def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
@@ -414,15 +350,28 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
     by_width: dict[int, list[tuple[int, dict]]] = {}
     for slot, record in deferred:
         by_width.setdefault(record["bids"].size, []).append((slot, record))
+    # ``price_rows`` is the kernel a sequential round's ``mechanism.run``
+    # prices its single row with, so a row priced here has the same bits.
     for members in by_width.values():
-        outcomes = _stacked_verification_outcomes(
-            mechanism,
+        rates = np.array([rec["rate"] for _, rec in members])
+        priced = price_rows(
             np.array([rec["bids"] for _, rec in members]),
             np.array([rec["estimates"] for _, rec in members]),
-            np.array([rec["rate"] for _, rec in members]),
+            rates,
+            mechanism.compensation_mode,
         )
-        for (slot, record), outcome in zip(members, outcomes):
-            record["outcome"] = outcome
+        for r, (slot, record) in enumerate(members):
+            record["outcome"] = MechanismOutcome(
+                allocation=AllocationResult(
+                    loads=priced.loads[r],
+                    arrival_rate=float(rates[r]),
+                    bids=record["bids"],
+                    total_latency=float(priced.declared_latency[r]),
+                ),
+                payments=priced.payments_of(r),
+                execution_values=record["estimates"],
+                metadata={"mechanism": type(mechanism).__name__},
+            )
             results[slot] = _round_result(RoundResult, record)
     return results
 

@@ -72,5 +72,8 @@ class TestValuationsHelper:
 
         allocation = pr_allocation(np.array([1.0, 2.0]), 6.0)
         executions = np.array([2.0, 2.0])
-        valuations = Mechanism._valuations(allocation, executions)
-        np.testing.assert_allclose(valuations, -executions * allocation.loads**2)
+        for rule in ("observed", "declared", "vcg", "archer-tardos"):
+            valuations = Mechanism._price(allocation, executions, rule).valuation
+            np.testing.assert_array_equal(
+                valuations, -executions * allocation.loads**2
+            )

@@ -42,13 +42,11 @@ class TestBatchScalarAgreement:
         # Spot-check the first and last rows (the scalar path is slow).
         for k in (0, bids.shape[0] - 1):
             outcome = mechanism.run(bids[k], rate, execs[k])
-            np.testing.assert_allclose(
-                batch.payment[k], outcome.payments.payment,
-                rtol=1e-10, atol=1e-10 * max(1.0, rate**2),
+            np.testing.assert_array_equal(
+                batch.payment[k], outcome.payments.payment
             )
-            np.testing.assert_allclose(
-                batch.utility[k], outcome.payments.utility,
-                rtol=1e-10, atol=1e-10 * max(1.0, rate**2),
+            np.testing.assert_array_equal(
+                batch.utility[k], outcome.payments.utility
             )
 
     @settings(max_examples=100)

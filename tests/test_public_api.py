@@ -99,7 +99,8 @@ class TestReadmeQuickstartRuns:
         from repro.allocation import pr as pr_module
         from repro.latency import linear as linear_module
         from repro.mechanism import compensation_bonus as cb_module
+        from repro.mechanism import pricing as pricing_module
 
-        for module in (pr_module, linear_module, cb_module):
+        for module in (pr_module, linear_module, cb_module, pricing_module):
             results = doctest.testmod(module, verbose=False)
             assert results.failed == 0, module.__name__
