@@ -455,21 +455,28 @@ class ShardedRound:
                 int(times.size), self._loads_full / total, service._rng
             )
             self._jobs_routed = int(times.size)
-            # One stable sort splits the stream into per-machine slices
-            # (bit-identical to the monolithic per-machine masking: the
-            # stable order preserves each machine's arrival sequence)
-            # instead of n_machines full-array comparisons.
+            # One stable sort groups the stream by machine (each
+            # machine's jobs keep their arrival order, so every
+            # machine's subarray is the monolithic one bit for bit);
+            # machines are contiguous per shard, so each shard gets one
+            # slice of the sorted times plus its members' job counts.
             n_live = sum(len(members) for members in self._live)
             order = np.argsort(assignments, kind="stable")
             counts = np.bincount(assignments, minlength=n_live)
-            pieces = np.split(times[order], np.cumsum(counts)[:-1])
+            starts = np.concatenate(([0], np.cumsum(counts))).tolist()
+            routed = times[order]
             args = []
-            cursor = 0
+            first = 0
             for members in self._live:
-                args.append((pieces[cursor : cursor + len(members)], payload))
-                cursor += len(members)
+                last = first + len(members)
+                args.append((
+                    routed[starts[first] : starts[last]],
+                    counts[first:last],
+                    payload,
+                ))
+                first = last
         else:
-            args = [(None, payload) for _ in self._live]
+            args = [(None, None, payload) for _ in self._live]
         results = service._stage_values(self, "run_execution", args)
         partials = [partial for partial, _meta in results]
         root, stats = aggregate_shards(service.overlay, partials)
@@ -506,19 +513,20 @@ class ShardedRound:
             )
             payments = self._outcome.payments
             # tolist() hands back plain Python floats in one C pass;
-            # indexing the property arrays per member is 3n attribute
-            # lookups on the hot path.
-            paid = payments.payment.tolist()
-            comp = payments.compensation.tolist()
-            bonus = payments.bonus.tolist()
-            amounts = {
-                name: (paid[k], comp[k], bonus[k])
-                for k, name in enumerate(self._names)
-            }
-            args = [
-                ({name: amounts[name] for name in members},)
-                for members in self._live
-            ]
+            # the live slices concatenate to the priced order.
+            rows = list(
+                zip(
+                    payments.payment.tolist(),
+                    payments.compensation.tolist(),
+                    payments.bonus.tolist(),
+                )
+            )
+            args = []
+            first = 0
+            for members in self._live:
+                last = first + len(members)
+                args.append((dict(zip(members, rows[first:last])),))
+                first = last
             ledgers = service._stage_values(self, "settle", args, recover=True)
         else:
             assert self._total_inverse is not None
@@ -546,10 +554,7 @@ class ShardedRound:
             names=list(self._names),
             outcome=self._outcome,
             estimated_execution_values=self._estimates_full,
-            loads={
-                name: float(load)
-                for name, load in zip(self._names, self._loads_full)
-            },
+            loads=dict(zip(self._names, self._loads_full.tolist())),
             payments=dict(self._payments),
             payment_notices=notices,
             alerts=list(self._alerts),

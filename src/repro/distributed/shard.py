@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro._validation import check_positive_scalar
 from repro.agents.base import Agent
 from repro.mechanism.pricing import price_from_sums
 from repro.protocol.coordinator import ProtocolPhase
@@ -158,24 +159,17 @@ class CoordinatorShard:
         self.fail_after_payments = fail_after_payments
         self._rng = rng
 
-        # Long-lived state: machines persist across rounds (that is the
-        # point of a *service* — per-round object churn is what the
-        # monolithic runtime pays for at n=10^6) and are re-configured
-        # and stat-reset at every round start.
-        sampler = _deterministic_sampler if deterministic_service else None
-        batch_sampler = (
-            _deterministic_batch_sampler if deterministic_service else None
-        )
-        self.machines: dict[str, LinearLatencyMachine] = {
-            name: LinearLatencyMachine(
-                name,
-                agent.execution_value(),
-                rng,
-                service_sampler=sampler,
-                batch_service_sampler=batch_sampler,
-            )
+        # Every member's execution value is read here, in member order,
+        # before any bid — the call sequence a stateful agent has always
+        # seen.  Machines are built lazily: execute() creates one only
+        # for a member that receives jobs in the round, since in a wide
+        # fleet most members get none (their estimate falls back to
+        # the bid without touching a machine).
+        self._execution_values = {
+            name: check_positive_scalar(agent.execution_value(), "execution_value")
             for name, agent in self.agents.items()
         }
+        self.machines: dict[str, LinearLatencyMachine] = {}
 
         # Per-round state.
         self.machine_names: list[str] = list(names)
@@ -202,9 +196,7 @@ class CoordinatorShard:
         self._estimates = None
         self._simulated_time = 0.0
         self._reset_membership_caches()
-        for machine in self.machines.values():
-            machine.sojourn_times.clear()
-            machine._busy_time = 0.0
+        self.machines = {}
 
     def collect_bids(self) -> np.ndarray:
         """Ask every member for its bid; returns the local bid vector.
@@ -293,17 +285,22 @@ class CoordinatorShard:
 
     def execute(
         self,
-        arrivals: Sequence[np.ndarray],
+        times: np.ndarray,
+        counts: np.ndarray,
         rng: np.random.Generator | None = None,
     ) -> dict:
         """Run this shard's slice of the routed stream; report estimates.
 
-        ``arrivals`` holds one absolute-arrival-time array per live
-        member (the service routed the global stream).  Jobs run
-        through :func:`~repro.protocol.execution.dispatch_batched` on a
+        ``times`` holds the absolute arrival times of every job routed
+        to this shard, grouped by live member in member order (each
+        member's jobs in arrival order), and ``counts`` the number of
+        jobs per live member — the service routed the global stream
+        and sorted it once.  Jobs run through
+        :func:`~repro.protocol.execution.dispatch_batched` on a
         shard-local simulator — per-agent control messages stay inside
         the shard as function calls; only the aggregation-tree messages
-        cross shard boundaries.
+        cross shard boundaries.  A member with no jobs reports
+        ``(0, 0.0)`` and never gets a machine.
 
         Returns a dict with the local ``estimates`` vector, the
         ``quotients`` (``t̂_i / b_i^2``, the shard's ``Q`` contribution),
@@ -312,40 +309,56 @@ class CoordinatorShard:
         """
         if self._loads is None:
             raise RuntimeError("no allocation applied yet")
-        if len(arrivals) != len(self.machine_names):
+        counts = np.asarray(counts, dtype=np.int64)
+        times = np.asarray(times, dtype=np.float64)
+        names = self.machine_names
+        if counts.size != len(names):
             raise ValueError(
-                f"expected {len(self.machine_names)} arrival arrays, "
-                f"got {len(arrivals)}"
+                f"expected {len(names)} job counts, got {counts.size}"
             )
-        if rng is not None:
-            for name in self.machine_names:
-                self.machines[name]._rng = rng
+        if times.size != int(counts.sum()):
+            raise ValueError(
+                f"counts add up to {int(counts.sum())} jobs, got {times.size}"
+            )
+        rng = rng if rng is not None else self._rng
+        busy = np.flatnonzero(counts)
+        sampler = (
+            _deterministic_sampler if self.deterministic_service else None
+        )
+        batch_sampler = (
+            _deterministic_batch_sampler if self.deterministic_service else None
+        )
+        self.machines = {}
+        for k in busy.tolist():
+            name = names[k]
+            machine = LinearLatencyMachine(
+                name,
+                self._execution_values[name],
+                rng,
+                service_sampler=sampler,
+                batch_service_sampler=batch_sampler,
+            )
+            machine.configure(float(self._loads[k]))
+            self.machines[name] = machine
 
         sim = Simulator()
-        live_machines = [self.machines[name] for name in self.machine_names]
-        for machine, load in zip(live_machines, self._loads):
-            machine.configure(float(load))
-        times = (
-            np.concatenate([np.asarray(a, dtype=np.float64) for a in arrivals])
-            if arrivals
-            else np.empty(0)
+        dispatch_batched(
+            sim,
+            list(self.machines.values()),
+            times,
+            np.repeat(np.arange(busy.size), counts[busy]),
         )
-        assignments = np.concatenate(
-            [np.full(np.asarray(a).size, k, dtype=np.int64)
-             for k, a in enumerate(arrivals)]
-        ) if arrivals else np.empty(0, dtype=np.int64)
-        dispatch_batched(sim, live_machines, times, assignments)
         sim.run()
         self._simulated_time = sim.now
 
-        for name in self.machine_names:
-            stats = self.machines[name].stats()
-            self._reports[name] = (
-                stats.completed,
-                stats.mean_sojourn if stats.completed else 0.0,
-            )
+        mean_sojourns = np.zeros(len(names))
+        self._reports = dict.fromkeys(names, (0, 0.0))
+        for k, machine in zip(busy.tolist(), self.machines.values()):
+            stats = machine.stats()
+            mean_sojourns[k] = stats.mean_sojourn
+            self._reports[names[k]] = (stats.completed, stats.mean_sojourn)
         self._save_checkpoint()
-        return self._report_payload()
+        return self._report_payload(counts, mean_sojourns)
 
     def execute_local(self, rng: np.random.Generator | None = None) -> dict:
         """Deployment-mode execution: the shard draws its own substream.
@@ -362,64 +375,67 @@ class CoordinatorShard:
             raise RuntimeError("no allocation applied yet")
         rng = rng if rng is not None else self._rng
         local_rate = float(self._loads.sum())
-        arrivals: list[np.ndarray] = [
-            np.empty(0) for _ in self.machine_names
-        ]
-        if local_rate > 0.0:
-            times = PoissonWorkload(local_rate, rng).generate_times(self.duration)
-            assignments = split_assignments(
-                int(times.size), self._loads / local_rate, rng
-            )
-            arrivals = [
-                times[assignments == k] for k in range(len(self.machine_names))
-            ]
-        return self.execute(arrivals, rng=rng)
+        n_live = len(self.machine_names)
+        if local_rate <= 0.0:
+            return self.execute(np.empty(0), np.zeros(n_live), rng=rng)
+        times = PoissonWorkload(local_rate, rng).generate_times(self.duration)
+        assignments = split_assignments(
+            int(times.size), self._loads / local_rate, rng
+        )
+        order = np.argsort(assignments, kind="stable")
+        counts = np.bincount(assignments, minlength=n_live)
+        return self.execute(times[order], counts, rng=rng)
 
-    def _derive_estimates(self) -> np.ndarray:
-        """The monolithic coordinator's estimator, verbatim.
+    def _derive_estimates(
+        self, jobs: np.ndarray, mean_sojourns: np.ndarray
+    ) -> np.ndarray:
+        """The monolithic coordinator's estimator, vectorised.
 
-        Pure function of (bids, loads, reports), so a shard restored
-        from a checkpoint re-derives the identical vector.
+        ``t̂_i = mean_sojourn_i / x_i`` for a member that completed
+        jobs on a positive load, its bid otherwise.  Pure function of
+        (bids, loads, reports), so a shard restored from a checkpoint
+        re-derives the identical vector.
         """
         assert self._loads is not None
-        bids = self.bids_vector()
-        estimates = np.empty(len(self.machine_names))
-        for k, name in enumerate(self.machine_names):
-            jobs, mean_sojourn = self._reports[name]
-            if jobs == 0 or self._loads[k] == 0.0:
-                estimates[k] = bids[k]
-            else:
-                estimates[k] = mean_sojourn / self._loads[k]
+        estimates = self.bids_vector()
+        measured = (jobs != 0) & (self._loads != 0.0)
+        estimates[measured] = mean_sojourns[measured] / self._loads[measured]
         return estimates
 
-    def _report_payload(self) -> dict:
+    def _report_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(jobs, mean sojourns) per live member, from the reports."""
+        rows = [self._reports[name] for name in self.machine_names]
+        jobs = np.array([row[0] for row in rows], dtype=np.int64)
+        return jobs, np.array([row[1] for row in rows], dtype=np.float64)
+
+    def _report_payload(
+        self, jobs: np.ndarray, mean_sojourns: np.ndarray
+    ) -> dict:
         assert self._loads is not None
-        self._estimates = self._derive_estimates()
+        self._estimates = self._derive_estimates(jobs, mean_sojourns)
         bids = self.bids_vector()
         alerts: list[str] = []
         if self.detector_threshold is not None:
-            for k, name in enumerate(self.machine_names):
-                if self._loads[k] <= 0.0:
-                    continue
-                sojourns = self.machines[name].sojourn_times
-                if not sojourns:
-                    continue
+            # Only members with jobs have sojourns; they own this
+            # round's machines, in member order, and a member with jobs
+            # necessarily has a positive load.
+            busy = np.flatnonzero(jobs).tolist()
+            for k, (name, machine) in zip(busy, self.machines.items()):
                 detector = CusumSlowdownDetector(
                     float(bids[k]),
                     float(self._loads[k]),
                     threshold=self.detector_threshold,
                     slack=self.detector_slack,
                 )
-                if detector.observe_many(np.asarray(sojourns)) is not None:
+                sojourns = np.asarray(machine.sojourn_times)
+                if detector.observe_many(sojourns) is not None:
                     alerts.append(name)
         return {
             "names": list(self.machine_names),
             "estimates": self._estimates,
             "quotients": self._estimates / bids**2,
-            "jobs": np.array([self._reports[n][0] for n in self.machine_names]),
-            "mean_sojourns": np.array(
-                [self._reports[n][1] for n in self.machine_names]
-            ),
+            "jobs": jobs,
+            "mean_sojourns": mean_sojourns,
             "alerts": alerts,
             "simulated_time": self._simulated_time,
         }
@@ -454,42 +470,53 @@ class CoordinatorShard:
     ) -> dict[str, tuple[float, float, float]]:
         """Issue payments with write-ahead, at-most-once semantics.
 
-        Each amount is recorded in the ledger and checkpointed *before*
-        its notice goes out; members already in ``payments_sent`` (from
+        The amounts are recorded in the ledger and persisted *before*
+        any notice goes out; members already in ``payments_sent`` (from
         a pre-crash attempt) are skipped, so a restored shard completes
-        the round without ever double-paying — the exact discipline of
+        the round without ever double-paying — the discipline of
         :class:`~repro.resilience.SupervisedCoordinator`.  Returns the
         full round ledger, so a re-settle after recovery still reports
         every member's amounts.
 
         Persistence is snapshot-plus-journal: the execution stage's
-        snapshot is the base, and each payment is an O(1) ledger append
-        on top of it.  A per-payment snapshot would make settling O(n²)
-        and is exactly what the A24 benchmark would catch.
+        snapshot is the base, and the whole batch is one packed
+        :meth:`~repro.resilience.CheckpointStore.append_payments` record
+        on top of it.  A shard's notices are function calls issued
+        together, so nothing can interleave with them the way a real
+        message can with the monolithic coordinator's per-notice
+        records.  With the chaos hook armed, exactly the first
+        ``fail_after_payments`` payments are persisted and notified
+        before the crash.
         """
         self.phase = ProtocolPhase.VERIFYING
         if self.checkpoint_store is not None and not (
             self.checkpoint_store.has_snapshot
         ):
             self._save_checkpoint()  # no prior stage ran: journal base
-        for name in self.machine_names:
-            if name in self.payments_sent:
-                continue  # issued before a crash: never pay twice
-            if (
-                self.fail_after_payments is not None
-                and len(self.payments_sent) >= self.fail_after_payments
-            ):
-                self._save_checkpoint()
-                raise ShardCrash(
-                    f"shard {self.shard_id} died after issuing "
-                    f"{len(self.payments_sent)} payments"
-                )
-            payment, compensation, bonus = amounts[name]
-            entry = (float(payment), float(compensation), float(bonus))
+        # Members issued before a crash are never paid twice.
+        pending = [n for n in self.machine_names if n not in self.payments_sent]
+        crash = False
+        if self.fail_after_payments is not None:
+            room = max(0, self.fail_after_payments - len(self.payments_sent))
+            crash = len(pending) > room
+            pending = pending[:room]
+        if pending:
+            block = np.array(
+                [amounts[name] for name in pending], dtype=np.float64
+            ).reshape(-1, 3)
             # Write-ahead: record and persist the intent, then send.
-            self.payments_sent[name] = entry
-            self._append_payment(name, entry)
-            self.payment_notices[name] = self.payment_notices.get(name, 0) + 1
+            self.payments_sent.update(zip(pending, map(tuple, block.tolist())))
+            if self.checkpoint_store is not None:
+                self.checkpoint_store.append_payments(pending, block)
+            notices = self.payment_notices
+            for name in pending:
+                notices[name] = notices.get(name, 0) + 1
+        if crash:
+            self._save_checkpoint()
+            raise ShardCrash(
+                f"shard {self.shard_id} died after issuing "
+                f"{len(self.payments_sent)} payments"
+            )
         self.phase = ProtocolPhase.DONE
         # No closing snapshot: the ledger lives in the journal until the
         # next stage snapshot compacts it, and a post-settle restore
@@ -535,22 +562,24 @@ class CoordinatorShard:
 
     def run_execution(
         self,
-        arrivals: Sequence[np.ndarray] | None = None,
+        times: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
         include_payload: bool = True,
         rng: np.random.Generator | None = None,
     ):
         """Execution stage: run jobs, return the shard's ``Q`` partial.
 
-        ``arrivals=None`` selects deployment-mode local workload
+        ``times=None`` selects deployment-mode local workload
         generation (:meth:`execute_local`); otherwise the service
-        routed the global stream and passes this shard's slice.
+        routed the global stream and passes this shard's slice of it
+        with the per-member job ``counts`` (see :meth:`execute`).
         """
         from repro.distributed.gather import PartialSum, ShardPartial
 
-        if arrivals is None:
+        if times is None:
             report = self.execute_local(rng=rng)
         else:
-            report = self.execute(arrivals, rng=rng)
+            report = self.execute(times, counts, rng=rng)
         payload = (
             {self.shard_id: {"estimates": report["estimates"]}}
             if include_payload
@@ -606,12 +635,6 @@ class CoordinatorShard:
         if self.checkpoint_store is not None:
             self.checkpoint_store.save(self.checkpoint())
 
-    def _append_payment(
-        self, name: str, entry: tuple[float, float, float]
-    ) -> None:
-        if self.checkpoint_store is not None:
-            self.checkpoint_store.append_payment(name, entry)
-
     @classmethod
     def restore(
         cls,
@@ -658,5 +681,5 @@ class CoordinatorShard:
         if shard._loads is not None and len(shard._reports) == len(
             checkpoint.machine_names
         ):
-            shard._estimates = shard._derive_estimates()
+            shard._estimates = shard._derive_estimates(*shard._report_columns())
         return shard

@@ -76,7 +76,10 @@ def dispatch_batched(
         order — the same floats the event engine would schedule.
     assignments:
         Machine index per job, from
-        :func:`~repro.system.workload.split_assignments`.
+        :func:`~repro.system.workload.split_assignments`.  Each machine
+        that receives jobs gets them in arrival order, in one
+        ``submit_batch`` call, in machine-index order; a machine with
+        no jobs is not called at all.
 
     Returns the number of jobs routed.  Records the
     ``protocol.events_skipped`` gauge: the event engine would have
@@ -87,11 +90,18 @@ def dispatch_batched(
     count = int(arrival_times.size)
     if count == 0:
         return 0
+    # One stable sort groups the jobs by machine, each machine's jobs
+    # in arrival order: the same subarray a per-machine mask selects.
+    # Machines without jobs are never touched (they would draw nothing).
+    routed = arrival_times[np.argsort(assignments, kind="stable")]
+    counts = np.bincount(assignments, minlength=len(machines))
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     horizon = -np.inf
-    for index, machine in enumerate(machines):
-        completions = machine.submit_batch(arrival_times[assignments == index])
-        if completions.size:
-            horizon = max(horizon, float(completions.max()))
+    for index in np.flatnonzero(counts).tolist():
+        completions = machines[index].submit_batch(
+            routed[bounds[index] : bounds[index + 1]]
+        )
+        horizon = max(horizon, float(completions.max()))
     sim.schedule_at(horizon, lambda s: None)
     record_gauge("protocol.events_skipped", 2 * count - 1)
     return count

@@ -71,7 +71,8 @@ same seed — every float in every :class:`RoundResult`, through
    0.0, so allocation fires at ``sim.now == 0.0`` and the dispatched
    arrival times are ``0.0 + times`` — bitwise the raw draw.
    Sojourns are ``(times_k + duration) - times_k`` per machine on the
-   same mask-selected subarrays ``dispatch_batched`` builds.
+   same per-machine subarrays (arrival order) ``dispatch_batched``
+   hands to ``submit_batch``.
 3. **Dual loads.**  The sequential round uses the *incremental
    allocator's* loads for machine configuration, routing fractions,
    and execution-value estimates, but the *mechanism's* fresh PR
@@ -242,8 +243,8 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             jobs_routed, alloc_loads / alloc_loads.sum(), supervisor._rng
         )
 
-        # Per-machine execution statistics on the same mask-selected
-        # subarrays dispatch_batched builds (arrivals are 0.0 + times,
+        # Per-machine execution statistics on the same per-machine
+        # subarrays dispatch_batched submits (arrivals are 0.0 + times,
         # bitwise the raw draws under the zero-delay network).
         n = len(admitted)
         counts = np.zeros(n, dtype=np.int64)

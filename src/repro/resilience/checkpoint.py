@@ -19,7 +19,9 @@ Persistence is one write-ahead log (WAL) per round, held by a
   remediation overrides), a completion report, or an issued payment,
   each a JSON line ``["bid", name, bid]``,
   ``["report", name, jobs, mean_sojourn]`` or
-  ``["payment", name, payment, compensation, bonus]``;
+  ``["payment", name, payment, compensation, bonus]`` — or one
+  ``["payments", names, packed]`` record for a batch of payments
+  issued together (a shard's settle);
 * :meth:`CheckpointStore.load` replays the records onto the last
   snapshot, and returns the checkpoint a full save at that moment
   would have written.
@@ -35,15 +37,22 @@ Two properties matter and are enforced by tests and the chaos harness:
   was announced (``IDLE``/``BIDDING``) voids the round: no allocation
   reached any machine, so abandoning is safe and cheap.
 
-Checkpoints round-trip through JSON so the "durable store" can be a
-file, a database row, or (in tests) an in-memory string — the
-serialisation boundary is what proves no live object sneaks through.
+Checkpoints round-trip through strict JSON (RFC 8259: no ``NaN`` or
+``Infinity`` tokens) so the "durable store" can be a file, a database
+row, or (in tests) an in-memory string — the serialisation boundary is
+what proves no live object sneaks through.  Numeric columns travel as
+base64 little-endian float64/int64, which keeps the round trip
+bit-exact.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.observability.instrumentation import record_counter, timed_section
 
@@ -90,52 +99,103 @@ class CoordinatorCheckpoint:
     )
 
     def to_json(self) -> str:
-        """Serialise to a JSON string (the durable representation).
+        """Serialise to a strict JSON string (the durable representation).
 
-        Tuples encode as JSON arrays natively and ``default=float``
-        coerces any stray numpy scalar, so no per-element Python loop
-        runs here — snapshots are O(n) in C, which matters because the
-        sharded service takes one per phase per shard.
+        Names stay JSON strings; every number is packed into a base64
+        column (:func:`_pack`), so the encode is a few C calls rather
+        than one ``repr`` per float, the round trip is bit-exact (NaN
+        payloads, ``-0.0``, subnormals) and no ``NaN``/``Infinity``
+        token is ever written.  A map keyed by exactly
+        ``machine_names`` stores ``null`` instead of repeating them.
         """
-        loads = self.loads
-        if loads is not None and hasattr(loads, "tolist"):
-            loads = loads.tolist()
+        names = self.machine_names
+        jobs, sojourns = (
+            zip(*self.reports.values()) if self.reports else ((), ())
+        )
+        payments = np.array(
+            list(self.payments_sent.values()), dtype=np.float64
+        ).reshape(-1, 3)
         return json.dumps(
             {
                 "phase": self.phase,
-                "machine_names": self.machine_names,
-                "arrival_rate": self.arrival_rate,
-                "bids": self.bids,
-                "loads": loads,
-                "reports": self.reports,
+                "machine_names": names,
+                "arrival_rate": _pack([self.arrival_rate]),
+                "bids": {
+                    "names": _keys(self.bids, names),
+                    "values": _pack(list(self.bids.values())),
+                },
+                "loads": None if self.loads is None else _pack(self.loads),
+                "reports": {
+                    "names": _keys(self.reports, names),
+                    "jobs": _pack(jobs, _INT),
+                    "mean_sojourns": _pack(sojourns),
+                },
                 "excluded": self.excluded,
                 "withheld": self.withheld,
-                "payments_sent": self.payments_sent,
+                "payments_sent": {
+                    "names": _keys(self.payments_sent, names),
+                    "amounts": _pack(payments),
+                },
             },
-            default=float,
+            allow_nan=False,
         )
 
     @classmethod
     def from_json(cls, payload: str) -> "CoordinatorCheckpoint":
         """Rebuild a checkpoint from its JSON representation."""
         raw = json.loads(payload)
+        names = list(raw["machine_names"])
+
+        def keys(column: dict) -> list[str]:
+            return names if column["names"] is None else column["names"]
+
+        bids, reports, paid = raw["bids"], raw["reports"], raw["payments_sent"]
+        amounts = _unpack(paid["amounts"]).reshape(-1, 3).tolist()
         return cls(
             phase=raw["phase"],
-            machine_names=list(raw["machine_names"]),
-            arrival_rate=float(raw["arrival_rate"]),
-            bids={name: float(bid) for name, bid in raw["bids"].items()},
-            loads=None if raw["loads"] is None else [float(x) for x in raw["loads"]],
-            reports={
-                name: (int(jobs), float(sojourn))
-                for name, (jobs, sojourn) in raw["reports"].items()
-            },
+            machine_names=names,
+            arrival_rate=_unpack(raw["arrival_rate"]).tolist()[0],
+            bids=dict(zip(keys(bids), _unpack(bids["values"]).tolist())),
+            loads=None if raw["loads"] is None else _unpack(raw["loads"]).tolist(),
+            reports=dict(
+                zip(
+                    keys(reports),
+                    zip(
+                        _unpack(reports["jobs"], _INT).tolist(),
+                        _unpack(reports["mean_sojourns"]).tolist(),
+                    ),
+                )
+            ),
             excluded=list(raw["excluded"]),
             withheld=list(raw["withheld"]),
-            payments_sent={
-                name: (float(p), float(c), float(b))
-                for name, (p, c, b) in raw["payments_sent"].items()
-            },
+            payments_sent=dict(zip(keys(paid), map(tuple, amounts))),
         )
+
+
+_FLOAT = np.dtype("<f8")
+_INT = np.dtype("<i8")
+
+
+def _pack(values, dtype: np.dtype = _FLOAT) -> str:
+    """Base64 of ``values`` as little-endian ``dtype`` (bit-exact)."""
+    column = np.ascontiguousarray(values, dtype=dtype)
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
+def _unpack(text: str, dtype: np.dtype = _FLOAT) -> np.ndarray:
+    """Inverse of :func:`_pack`."""
+    return np.frombuffer(base64.b64decode(text), dtype=dtype)
+
+
+def _keys(mapping: dict, names: list[str]) -> list[str] | None:
+    """``mapping``'s keys, or ``None`` when they are exactly ``names``."""
+    keys = list(mapping)
+    return None if keys == names else keys
+
+
+def _value(value):
+    """Decode one record value: a number, or a packed non-finite float."""
+    return _unpack(value).tolist()[0] if isinstance(value, str) else value
 
 
 class CheckpointStore:
@@ -149,7 +209,9 @@ class CheckpointStore:
     Snapshots are O(n) to write, so a coordinator calls :meth:`save`
     only at a phase transition and logs each event in between in O(1)
     (:meth:`append_bid`, :meth:`append_report`, :meth:`append_payment`);
-    per-event snapshots would make a round O(n²).  Saving a fresh
+    per-event snapshots would make a round O(n²).  A caller that issues
+    a whole batch of payments at once (a shard's settle) logs them as
+    one packed record with :meth:`append_payments`.  Saving a fresh
     snapshot subsumes (and clears) the log.
     """
 
@@ -196,6 +258,31 @@ class CheckpointStore:
             "payment", name, (float(payment), float(compensation), float(bonus))
         )
 
+    def append_payments(self, names: list[str], amounts) -> None:
+        """Log a batch of issued payments as one record.
+
+        ``amounts`` holds one (payment, compensation, bonus) row per
+        name.  The record is ``["payments", names, packed]`` with the
+        ``(k, 3)`` block packed like a snapshot column, so a batch costs
+        one short encode however many members it pays.
+        """
+        block = np.asarray(amounts, dtype=np.float64).reshape(-1, 3)
+        if block.shape[0] != len(names):
+            raise ValueError(
+                f"expected {len(names)} payment rows, got {block.shape[0]}"
+            )
+        self._require_snapshot("payments")
+        self._records.append(
+            f'["payments", {json.dumps(list(names))}, "{_pack(block)}"]'
+        )
+        self.appends += 1
+
+    def _require_snapshot(self, kind: str) -> None:
+        if self._payload is None:
+            raise RuntimeError(
+                f"cannot journal a {kind} with no base snapshot saved"
+            )
+
     def _append(self, kind: str, name: str, values: tuple) -> None:
         """Serialise one ``[kind, name, *values]`` record in O(1).
 
@@ -203,16 +290,14 @@ class CheckpointStore:
         discipline as :meth:`save` — so it costs one short JSON line
         instead of a full O(n) snapshot.
         """
-        if self._payload is None:
-            raise RuntimeError(
-                f"cannot journal a {kind} with no base snapshot saved"
-            )
+        self._require_snapshot(kind)
         total = sum(values)
         # repr() of a finite float (or any int) is shortest-round-trip
         # decimal, which is valid JSON — the fast path skips the json
         # encoder entirely (this is the per-event hot path).  A finite
         # sum implies every value is finite; names needing escapes and
-        # non-finite values take the slow path.
+        # non-finite values take the slow path, where a non-finite
+        # value is written as its packed bits (JSON has no NaN/inf).
         if (
             total - total == 0.0
             and '"' not in name
@@ -221,7 +306,8 @@ class CheckpointStore:
         ):
             entry = f'["{kind}", "{name}", {", ".join(map(repr, values))}]'
         else:
-            entry = json.dumps([kind, name, *values])
+            packed = [v if math.isfinite(v) else _pack([v]) for v in values]
+            entry = json.dumps([kind, name, *packed], allow_nan=False)
         self._records.append(entry)
         self.appends += 1
 
@@ -243,6 +329,11 @@ class CheckpointStore:
                 for kind, name, *values in json.loads(
                     "[" + ",".join(self._records) + "]"
                 ):
+                    if kind == "payments":  # name: the batch's names
+                        block = _unpack(values[0]).reshape(-1, 3).tolist()
+                        payments.update(zip(name, map(tuple, block)))
+                        continue
+                    values = [_value(v) for v in values]
                     if kind == "bid":
                         bids[name] = float(values[0])
                     elif kind == "report":

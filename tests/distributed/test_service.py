@@ -312,6 +312,44 @@ class TestSupervisorIntegration:
         for a, b in zip(mono.rounds, sharded.rounds):
             assert a.payments == b.payments
 
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sparse_job_rounds_match_unsharded(self, shards, deterministic):
+        # R=4 over 5 s windows spreads ~20 jobs over 400 machines, so
+        # ~95% of members run no job; two crash rounds quarantine a few
+        # machines first, so the sharded rounds see a churned fleet.
+        from repro.resilience import FaultPlan, MachineFault, RoundFaults
+
+        values = np.tile(TRUE_VALUES, 50)
+        names = [f"C{i + 1}" for i in range(values.size)]
+        crash = RoundFaults(
+            machine_faults={n: MachineFault("crash") for n in names[3:400:97]}
+        )
+        plan = FaultPlan([crash, crash] + [RoundFaults()] * 2)
+
+        def run(n_shards):
+            supervisor = RoundSupervisor(
+                [TruthfulAgent(t) for t in values], 4.0, duration=5.0,
+                rng=np.random.default_rng(17), shards=n_shards,
+                deterministic_service=deterministic,
+            )
+            return supervisor.run(len(plan), fault_plan=plan).rounds
+
+        mono, sharded = run(1), run(shards)
+        assert mono[2].quarantined  # the crashed machines sit out
+        for a, b in zip(mono, sharded):
+            assert a.payments == b.payments
+            assert a.loads == b.loads
+            assert a.alerts == b.alerts
+            assert a.jobs_routed == b.jobs_routed
+            for field in ("payment", "compensation", "bonus", "utility"):
+                assert np.array_equal(
+                    getattr(a.outcome.payments, field),
+                    getattr(b.outcome.payments, field),
+                )
+            assert np.array_equal(a.outcome.loads, b.outcome.loads)
+        assert 0 < sharded[-1].jobs_routed < len(sharded[-1].participants) / 10
+
     def test_faulted_rounds_fall_back_to_monolithic_path(self):
         from repro.resilience import FaultPlan
 

@@ -156,3 +156,58 @@ class TestCheckpointRestore:
         assert restored.payment_notices["C1"] == 0
         assert restored.payment_notices["C2"] == 0
         assert restored.payment_notices["C3"] == 1
+
+
+class TestBatchedPaymentRecord:
+    """A shard's settle journals one packed record, still at most once."""
+
+    VALUES = (1.0, 2.0, 4.0, 3.0, 0.5)
+
+    def _executed(self, store, **kwargs):
+        shard = make_shard(self.VALUES, store=store, **kwargs)
+        shard.begin_round()
+        shard.collect_bids()
+        shard.allocate_from_total(float(np.sum(1.0 / np.array(self.VALUES))))
+        shard.run_execution()
+        return shard
+
+    def test_clean_settle_writes_exactly_one_record(self):
+        store = CheckpointStore()
+        shard = self._executed(store)
+        saves = store.saves
+        ledger = shard.settle({n: (3.0, 2.0, 1.0) for n in shard.machine_names})
+        assert store.records == 1
+        assert store.saves == saves  # no snapshot on a clean settle
+        assert store.load().payments_sent == ledger
+        assert all(c == 1 for c in shard.payment_notices.values())
+
+    @pytest.mark.parametrize("k", [1, len(VALUES) - 1])
+    def test_crash_persists_exactly_the_first_k_payments(self, k):
+        store = CheckpointStore()
+        shard = self._executed(store, fail_after_payments=k)
+        amounts = {
+            name: (float(i), float(i) / 2, float(i) / 2)
+            for i, name in enumerate(shard.machine_names)
+        }
+        with pytest.raises(ShardCrash):
+            shard.settle(amounts)
+        first = shard.machine_names[:k]
+        assert store.load().payments_sent == {n: amounts[n] for n in first}
+
+        restored = CoordinatorShard.restore(
+            store.load(),
+            shard_id=0,
+            agents=shard.agents,
+            rng=np.random.default_rng(3),
+            checkpoint_store=store,
+        )
+        ledger = restored.settle(amounts)
+        assert ledger == amounts
+        assert store.load().payments_sent == amounts
+        # Across both incarnations every member got exactly one notice.
+        notices = {
+            name: shard.payment_notices[name] + restored.payment_notices[name]
+            for name in amounts
+        }
+        assert set(notices.values()) == {1}
+

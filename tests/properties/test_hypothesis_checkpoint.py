@@ -10,10 +10,16 @@ orders, silent machines, remediation overrides and crash points:
   — a replay of snapshot + records is indistinguishable from a full
   save at that moment;
 * a coordinator restored from that replay finishes the round exactly
-  as an uncrashed one would, paying every machine once.
+  as an uncrashed one would, paying every machine once;
+* every snapshot and record is strict JSON (no ``NaN``/``Infinity``
+  tokens) and round-trips bit for bit: NaN payloads, infinities,
+  ``-0.0``, subnormals, names needing escapes, empty maps.
 """
 
 from __future__ import annotations
+
+import json
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +28,12 @@ from repro.mechanism import VerificationMechanism
 from repro.protocol import ProtocolPhase
 from repro.protocol.coordinator import COORDINATOR_NAME
 from repro.protocol.messages import BidReply, CompletionReport, PaymentNotice
-from repro.resilience import CheckpointStore, CoordinatorCrash, SupervisedCoordinator
+from repro.resilience import (
+    CheckpointStore,
+    CoordinatorCheckpoint,
+    CoordinatorCrash,
+    SupervisedCoordinator,
+)
 
 
 class _CheckingNetwork:
@@ -194,3 +205,113 @@ def test_restored_round_pays_like_an_uncrashed_one_and_at_most_once(scenario):
     assert clean.phase is ProtocolPhase.DONE
     assert set(notices) == set(clean.machine_names)
     assert crashed.payments_sent == clean.payments_sent
+
+
+# ------------------------------------------------- strict, bit-exact JSON
+
+
+def _strict(text: str):
+    """Parse ``text`` as RFC 8259 JSON: NaN/Infinity tokens are errors."""
+
+    def reject(token: str):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _bits(value):
+    """``value`` with every float replaced by its IEEE-754 bit pattern."""
+    if isinstance(value, float):
+        return ("f64", struct.pack("<d", value))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_bits(v) for v in value])
+    if isinstance(value, dict):
+        return ("dict", [(k, _bits(v)) for k, v in value.items()])
+    return (type(value).__name__, value)
+
+
+# Any float bit pattern (every NaN payload, both infinities, -0.0,
+# subnormals), plus hypothesis's own float shrinking.
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(min_value=0, max_value=2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+    ),
+)
+_names = st.text(min_size=0, max_size=6)  # quotes, backslashes, controls
+
+
+@st.composite
+def checkpoints(draw):
+    names = draw(st.lists(_names, unique=True, max_size=6))
+
+    def keys():
+        # Exactly the machine names (the compact encoding) or any set.
+        return draw(
+            st.one_of(st.just(names), st.lists(_names, unique=True, max_size=6))
+        )
+
+    jobs = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+    return CoordinatorCheckpoint(
+        phase=draw(_names),
+        machine_names=names,
+        arrival_rate=draw(_floats),
+        bids={k: draw(_floats) for k in keys()},
+        loads=draw(st.one_of(st.none(), st.lists(_floats, max_size=6))),
+        reports={k: (draw(jobs), draw(_floats)) for k in keys()},
+        excluded=draw(st.lists(_names, max_size=3)),
+        withheld=draw(st.lists(_names, max_size=3)),
+        payments_sent={
+            k: (draw(_floats), draw(_floats), draw(_floats)) for k in keys()
+        },
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(checkpoints())
+def test_snapshot_is_strict_json_and_bit_exact(checkpoint):
+    payload = checkpoint.to_json()
+    _strict(payload)
+    restored = CoordinatorCheckpoint.from_json(payload)
+    assert _bits(vars(restored)) == _bits(vars(checkpoint))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    checkpoints(),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["bid", "report", "payment", "payments"]),
+            _names,
+            st.lists(_floats, min_size=3, max_size=3),
+        ),
+        max_size=8,
+    ),
+)
+def test_records_are_strict_json_and_replay_bit_exact(checkpoint, events):
+    store = CheckpointStore()
+    store.save(checkpoint)
+    bids = dict(checkpoint.bids)
+    reports = dict(checkpoint.reports)
+    payments = dict(checkpoint.payments_sent)
+    for kind, name, (a, b, c) in events:
+        if kind == "bid":
+            store.append_bid(name, a)
+            bids[name] = a
+        elif kind == "report":
+            store.append_report(name, 7, a)
+            reports[name] = (7, a)
+        elif kind == "payment":
+            store.append_payment(name, (a, b, c))
+            payments[name] = (a, b, c)
+        else:
+            store.append_payments([name, name + "'"], [(a, b, c), (c, b, a)])
+            payments[name] = (a, b, c)
+            payments[name + "'"] = (c, b, a)
+    for text in [store._payload, *store._records]:
+        _strict(text)
+    loaded = store.load()
+    assert _bits(loaded.bids) == _bits(bids)
+    assert _bits(loaded.reports) == _bits(reports)
+    assert _bits(loaded.payments_sent) == _bits(payments)
+
