@@ -65,6 +65,7 @@ from repro.observability.instrumentation import (
     record_counter,
     trace_span,
 )
+from repro.protocol.execution import route_by_machine
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.system.workload import PoissonWorkload, split_assignments
 from repro.types import AllocationResult, MechanismOutcome
@@ -461,10 +462,9 @@ class ShardedRound:
             # machines are contiguous per shard, so each shard gets one
             # slice of the sorted times plus its members' job counts.
             n_live = sum(len(members) for members in self._live)
-            order = np.argsort(assignments, kind="stable")
-            counts = np.bincount(assignments, minlength=n_live)
-            starts = np.concatenate(([0], np.cumsum(counts))).tolist()
-            routed = times[order]
+            routed, counts, starts = route_by_machine(
+                times, assignments, n_live
+            )
             args = []
             first = 0
             for members in self._live:

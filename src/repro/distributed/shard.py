@@ -37,7 +37,7 @@ from repro._validation import check_positive_scalar
 from repro.agents.base import Agent
 from repro.mechanism.pricing import price_from_sums
 from repro.protocol.coordinator import ProtocolPhase
-from repro.protocol.execution import dispatch_batched
+from repro.protocol.execution import dispatch_batched, route_by_machine
 from repro.protocol.monitoring import CusumSlowdownDetector
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
 from repro.system.des import Simulator
@@ -382,9 +382,8 @@ class CoordinatorShard:
         assignments = split_assignments(
             int(times.size), self._loads / local_rate, rng
         )
-        order = np.argsort(assignments, kind="stable")
-        counts = np.bincount(assignments, minlength=n_live)
-        return self.execute(times[order], counts, rng=rng)
+        routed, counts, _bounds = route_by_machine(times, assignments, n_live)
+        return self.execute(routed, counts, rng=rng)
 
     def _derive_estimates(
         self, jobs: np.ndarray, mean_sojourns: np.ndarray

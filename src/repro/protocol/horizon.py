@@ -37,14 +37,18 @@ reimplementation.
 A fused segment runs in two phases:
 
 * **Phase A (per round, cheap):** quarantine admission, agent bids
-  with remediation overrides, the incremental PR allocate (kept warm
-  so later de-fused rounds see identical allocator state), the
-  round's workload draw through the *same*
-  ``RoundSupervisor._generate_times`` the sequential path uses,
-  vectorised per-machine sojourn statistics, CUSUM detection, and
-  quarantine bookkeeping.  Membership churn (an alert
-  quarantining a machine mid-segment, probes re-admitted) is handled
-  naturally because admission still happens round by round.
+  with remediation overrides, the supervisor's allocator (a fresh PR
+  solve), the round's workload draw through the *same*
+  ``RoundSupervisor._generate_times`` the sequential path uses, one
+  sort-once routing (:func:`~repro.protocol.execution.route_by_machine`)
+  and sojourn statistics for the machines that received jobs, the
+  estimates in one ``np.where``, CUSUM detection over the machines
+  with jobs, and one bulk quarantine update.  A wide round with few
+  jobs costs O(jobs + changes) Python plus O(n) vector work (and one
+  ``bid()`` and ``execution_value()`` call per admitted agent).
+  Membership churn (an alert quarantining a machine mid-segment,
+  probes re-admitted) is handled naturally because admission still
+  happens round by round.
 * **Phase B (stacked):** all live rounds of the segment are grouped
   by machine count and priced as one ``(T_seg, n)`` block through
   :func:`~repro.mechanism.pricing.price_rows`, the kernel the
@@ -57,7 +61,7 @@ Parity contract
 ---------------
 Results are **bit-identical** to ``supervisor.run(n_rounds)`` on the
 same seed — every float in every :class:`RoundResult`, through
-``repr`` and back.  Three properties carry the contract:
+``repr`` and back.  Two properties carry the contract:
 
 1. **RNG stream order.**  A clean sequential round consumes, in
    order: the Poisson count draw, the uniform position draws, the
@@ -73,11 +77,14 @@ same seed — every float in every :class:`RoundResult`, through
    Sojourns are ``(times_k + duration) - times_k`` per machine on the
    same per-machine subarrays (arrival order) ``dispatch_batched``
    hands to ``submit_batch``.
-3. **Dual loads.**  The sequential round uses the *incremental
-   allocator's* loads for machine configuration, routing fractions,
-   and execution-value estimates, but the *mechanism's* fresh PR
-   loads for ``RoundResult.loads`` and CUSUM detection.  The fused
-   path reproduces both, from the same inputs, in the same order.
+
+Loads need no clause of their own: the supervisor's allocator is the
+fresh PR solve over the round's bids, so the loads that configure the
+machines, route the jobs and scale the estimates *are* the loads the
+mechanism prices and the detector reads, bit for bit (a test pins
+this on the sequential, sharded and fused paths).  A mechanism with
+its own allocation is priced per round, and its loads feed detection
+and ``RoundResult.loads`` as in the sequential round.
 
 Detection runs through the same
 :meth:`~repro.protocol.monitoring.CusumSlowdownDetector.observe_many`
@@ -106,6 +113,7 @@ from repro.observability.instrumentation import (
     record_gauge,
     trace_span,
 )
+from repro.protocol.execution import route_by_machine
 from repro.protocol.monitoring import CusumSlowdownDetector
 from repro.system.workload import split_assignments
 from repro.types import AllocationResult, MechanismOutcome
@@ -144,11 +152,12 @@ def fusible_round(
 
 def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
     """Evaluate ``count`` consecutive fusible rounds as one segment."""
-    from repro.resilience.quarantine import CircuitState
     from repro.resilience.supervisor import RoundResult
 
     mechanism = supervisor.mechanism
     exact_stack = type(mechanism) is VerificationMechanism
+    agents = supervisor.agents
+    quarantine = supervisor.quarantine
 
     results: list = []
     deferred: list[tuple[int, dict]] = []  # (slot in results, phase-A record)
@@ -158,13 +167,9 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
         supervisor._round_index += 1
         rate = supervisor.round_rate(index)
 
-        admitted = supervisor.quarantine.begin_round()
-        probes = [
-            n
-            for n in admitted
-            if supervisor.quarantine.state_of(n) is CircuitState.HALF_OPEN
-        ]
-        quarantined = supervisor.quarantine.quarantined()
+        admitted = quarantine.begin_round()
+        probes = quarantine.probes()
+        quarantined = quarantine.quarantined()
 
         record_counter("horizon.fused.rounds")
         record_counter("supervisor.rounds")
@@ -208,33 +213,26 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
         # ``agent.execution_value()`` each, in admitted order) before
         # any bid is requested; stateful agents observe the same call
         # sequence here.
-        execution_values = [
-            float(supervisor.agents[name].execution_value())
-            for name in admitted
-        ]
-        bid_list = []
-        for name in admitted:
-            bid = supervisor.agents[name].bid()
-            override = supervisor.bid_overrides.get(name)
-            if override is not None and override > bid:
-                record_counter("remediation.bid_overrides")
-                annotate(
-                    "remediation.bid_override",
-                    machine=name,
-                    declared=bid,
-                    override=override,
-                )
-                bid = float(override)
-            bid_list.append(bid)
+        execution_values = [agents[name].execution_value() for name in admitted]
+        bid_list = [agents[name].bid() for name in admitted]
+        if supervisor.bid_overrides:
+            for k, name in enumerate(admitted):
+                override = supervisor.bid_overrides.get(name)
+                if override is not None and override > bid_list[k]:
+                    record_counter("remediation.bid_overrides")
+                    annotate(
+                        "remediation.bid_override",
+                        machine=name,
+                        declared=bid_list[k],
+                        override=override,
+                    )
+                    bid_list[k] = float(override)
         bids = np.array(bid_list, dtype=np.float64)
 
-        # Incremental allocator loads: configure/routing/estimates use
-        # these (the coordinator's ``_loads``); the mechanism's fresh
-        # PR loads below are a *different* array used for detection
-        # and RoundResult.loads, exactly as in the sequential round.
-        allocation = supervisor._allocator.allocate(
-            list(admitted), bids, rate
-        )
+        # The allocator is the fresh PR solve, so these loads are the
+        # mechanism's loads bit for bit: they configure the machines,
+        # route the jobs, and feed the estimates and the detection.
+        allocation = supervisor._allocator.allocate(admitted, bids, rate)
         alloc_loads = allocation.loads
 
         times = supervisor._generate_times(index)
@@ -245,36 +243,33 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
 
         # Per-machine execution statistics on the same per-machine
         # subarrays dispatch_batched submits (arrivals are 0.0 + times,
-        # bitwise the raw draws under the zero-delay network).
+        # bitwise the raw draws under the zero-delay network), visiting
+        # only the machines that received jobs, in machine-index order.
         n = len(admitted)
-        counts = np.zeros(n, dtype=np.int64)
+        routed, counts, bounds = route_by_machine(times, assignments, n)
+        busy = np.flatnonzero(counts).tolist()
         mean_sojourns = np.zeros(n)
-        machine_sojourns: list[np.ndarray | None] = [None] * n
-        for k in range(n):
-            sub = times[assignments == k]
-            size = int(sub.size)
-            counts[k] = size
-            if size == 0:
-                continue  # submit_batch returns before sampling
-            mean = execution_values[k] * float(alloc_loads[k])
+        busy_sojourns: list[np.ndarray] = []
+        for k in busy:
+            sub = routed[bounds[k] : bounds[k + 1]]
+            mean = float(execution_values[k]) * float(alloc_loads[k])
             if supervisor.deterministic_service:
-                durations = np.full(size, mean)
+                durations = np.full(sub.size, mean)
             else:
-                durations = supervisor._rng.exponential(mean, size=size)
+                durations = supervisor._rng.exponential(mean, size=sub.size)
             sojourns = (sub + durations) - sub
-            machine_sojourns[k] = sojourns
+            busy_sojourns.append(sojourns)
             mean_sojourns[k] = float(sojourns.mean())
 
-        # Execution-value estimates, from the allocator loads (the
-        # coordinator's ``_complete_verification`` rule; a machine
-        # with no completions reports mean_sojourn 0.0 and falls back
-        # to its bid).
-        estimates = np.empty(n)
-        for k in range(n):
-            if counts[k] == 0 or alloc_loads[k] == 0.0:
-                estimates[k] = bids[k]
-            else:
-                estimates[k] = mean_sojourns[k] / alloc_loads[k]
+        # Execution-value estimates (the coordinator's
+        # ``_complete_verification`` rule): a machine with no
+        # completions reports mean_sojourn 0.0 and falls back to its bid.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            estimates = np.where(
+                (counts == 0) | (alloc_loads == 0.0),
+                bids,
+                mean_sojourns / alloc_loads,
+            )
 
         # ---------------------------------------------------- mechanism
         outcome: MechanismOutcome | None = None
@@ -284,12 +279,8 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
             and np.all(estimates > 0.0)
             and np.all(np.isfinite(estimates))
         ):
-            # Deferred: priced in the stacked Phase B broadcast.  The
-            # detection below only needs the mechanism's PR loads,
-            # which are three elementwise ops.
-            inv = 1.0 / bids
-            total_inv = float(inv.sum())
-            mech_loads = rate * inv / total_inv
+            # Deferred: priced in the stacked Phase B broadcast.
+            mech_loads = alloc_loads
         else:
             # Non-verification mechanisms (or degenerate inputs, which
             # must raise exactly as the sequential path would) are
@@ -299,12 +290,9 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
 
         # ---------------------------------------------------- detection
         alerts: list[str] = []
-        for k, name in enumerate(admitted):
+        for k, sojourns in zip(busy, busy_sojourns):
             load = float(mech_loads[k])
             if load <= 0.0:
-                continue
-            sojourns = machine_sojourns[k]
-            if sojourns is None:
                 continue
             detector = CusumSlowdownDetector(
                 float(bids[k]),
@@ -313,17 +301,13 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
                 slack=supervisor.detector_slack,
             )
             if detector.observe_many(sojourns) is not None:
-                alerts.append(name)
+                alerts.append(admitted[k])
                 record_counter("supervisor.slowdown_alerts")
-                annotate("slowdown.alert", machine=name)
+                annotate("slowdown.alert", machine=admitted[k])
 
-        # --------------------------------------------------- quarantine
-        for name in admitted:
-            if name in alerts:
-                supervisor.quarantine.record_failure(name, "slowdown_alert")
-            else:
-                supervisor.quarantine.record_success(name)
-
+        quarantine.record_outcomes(
+            admitted, dict.fromkeys(alerts, "slowdown_alert")
+        )
         observe_value("supervisor.jobs_routed", jobs_routed)
 
         record = {
@@ -381,7 +365,6 @@ def _round_result(round_result_cls, record: dict):
     """Assemble one clean fused round's RoundResult from its outcome."""
     outcome = record["outcome"]
     names = record["admitted"]
-    payment_vector = outcome.payments.payment
     return round_result_cls(
         index=record["index"],
         participants=list(names),
@@ -394,12 +377,10 @@ def _round_result(round_result_cls, record: dict):
         fault_kinds={},
         voided=False,
         outcome=outcome,
-        loads={n: float(x) for n, x in zip(names, outcome.loads)},
-        payments={n: float(x) for n, x in zip(names, payment_vector)},
-        utilities={
-            n: float(u) for n, u in zip(names, outcome.payments.utility)
-        },
-        payment_notices={n: 1 for n in names},
+        loads=dict(zip(names, outcome.loads.tolist())),
+        payments=dict(zip(names, outcome.payments.payment.tolist())),
+        utilities=dict(zip(names, outcome.payments.utility.tolist())),
+        payment_notices=dict.fromkeys(names, 1),
         bid_retries=0,
         report_retries=0,
         coordinator_restarts=0,

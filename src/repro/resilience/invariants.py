@@ -16,6 +16,9 @@ proves, not merely that a round was slow or skipped:
   lost payment);
 * **ledger consistency** — the amount each machine was sent matches
   the mechanism outcome recomputed for the round;
+* **finite outcome** — every load, payment and utility of a priced
+  round is a finite float (NaN and ±inf never pass a tolerance check:
+  every comparison here is written so that NaN fails it);
 * **voluntary participation** — in rounds where every surviving
   participant executed as declared (no slowdown faults, nobody
   imputed), honest machines end with non-negative utility.  Rounds
@@ -27,6 +30,7 @@ proves, not merely that a round was slow or skipped:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.resilience.supervisor import RoundResult
@@ -78,8 +82,17 @@ def check_round_invariants(
         return violations
 
     assert result.outcome is not None
+    for label, values in (
+        ("load", result.loads),
+        ("payment", result.payments),
+        ("utility", result.utilities),
+    ):
+        bad = {n: v for n, v in values.items() if not math.isfinite(v)}
+        if bad:
+            violated("non-finite", f"{label}s {bad!r}")
+
     total = sum(result.loads.values())
-    if abs(total - result.arrival_rate) > tol * max(1.0, result.arrival_rate):
+    if not abs(total - result.arrival_rate) <= tol * max(1.0, result.arrival_rate):
         violated(
             "feasibility",
             f"allocated {total!r} of arrival rate {result.arrival_rate!r}",
@@ -113,7 +126,7 @@ def check_round_invariants(
         sent = result.payments.get(name)
         if sent is None:
             violated("ledger", f"no payment recorded for live machine {name}")
-        elif abs(sent - expected) > tol * max(1.0, abs(expected)):
+        elif not abs(sent - expected) <= tol * max(1.0, abs(expected)):
             violated(
                 "ledger",
                 f"machine {name} was sent {sent!r}, outcome says {expected!r}",

@@ -27,7 +27,8 @@ and open at the probe cadence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from repro.observability.instrumentation import annotate, record_counter
 
@@ -62,8 +63,16 @@ class QuarantinePolicy:
     """Closed → open → half-open quarantine over a set of machines.
 
     Drive it once per round: :meth:`begin_round` advances cooldowns and
-    returns who may participate, then :meth:`record_success` /
-    :meth:`record_failure` report each participant's outcome.
+    returns who may participate, then :meth:`record_outcomes` (or
+    :meth:`record_success` / :meth:`record_failure` per machine)
+    reports each participant's outcome.
+
+    The policy indexes the machines whose circuit is not closed, so
+    :meth:`begin_round`, :meth:`probes` and :meth:`quarantined` visit
+    only those; a wide fleet with a handful of quarantined machines
+    pays per change, not per machine.  The index follows every state
+    transition made through this class's methods — change a circuit's
+    state through them, never by assigning ``health_of(name).state``.
 
     Parameters
     ----------
@@ -111,12 +120,18 @@ class QuarantinePolicy:
         self.readmission_reputation = float(readmission_reputation)
         self.reputation_alpha = float(reputation_alpha)
         self._machines: dict[str, MachineHealth] = {}
+        # Admission position of every machine, and the machines whose
+        # circuit is not CLOSED (the only ones a round has to visit).
+        self._position: dict[str, int] = {}
+        self._unsettled: set[str] = set()
 
     # ------------------------------------------------------------ wiring
 
     def admit(self, name: str) -> None:
         """Start tracking a machine (idempotent)."""
-        self._machines.setdefault(name, MachineHealth())
+        if name not in self._machines:
+            self._position[name] = len(self._machines)
+            self._machines[name] = MachineHealth()
 
     def health_of(self, name: str) -> MachineHealth:
         """The mutable health record of one machine."""
@@ -142,10 +157,11 @@ class QuarantinePolicy:
 
         Open machines whose cooldown has elapsed transition to
         half-open and are admitted as probes; the rest of the admitted
-        set is every closed machine.
+        set is every closed machine, all in admission order.
         """
-        admitted: list[str] = []
-        for name, health in self._machines.items():
+        still_open: list[str] = []
+        for name in self._unsettled_in_order():
+            health = self._machines[name]
             if health.state is CircuitState.OPEN:
                 health.cooldown_remaining -= 1
                 if health.cooldown_remaining <= 0:
@@ -153,25 +169,53 @@ class QuarantinePolicy:
                     health.consecutive_probe_successes = 0
                     record_counter("resilience.quarantine.probes")
                     annotate("quarantine.probe", machine=name)
-            if health.state is not CircuitState.OPEN:
-                admitted.append(name)
+                else:
+                    still_open.append(name)
+        admitted = list(self._machines)
+        for name in reversed(still_open):  # highest position first
+            del admitted[self._position[name]]
         return admitted
 
     def probes(self) -> list[str]:
         """Machines currently in the half-open (probe) state."""
-        return [
-            n
-            for n, h in self._machines.items()
-            if h.state is CircuitState.HALF_OPEN
-        ]
+        return self._unsettled_in_state(CircuitState.HALF_OPEN)
 
     def quarantined(self) -> list[str]:
         """Machines currently in the open (quarantined) state."""
-        return [
-            n for n, h in self._machines.items() if h.state is CircuitState.OPEN
-        ]
+        return self._unsettled_in_state(CircuitState.OPEN)
 
     # ------------------------------------------------------------ outcomes
+
+    def record_outcomes(
+        self, participants: Iterable[str], failures: Mapping[str, str]
+    ) -> None:
+        """Report one round: ``failures`` maps a participant to its reason.
+
+        Every participant not in ``failures`` had a clean round.  The
+        result — every health record, and every counter and annotation
+        in the same order — is that of calling :meth:`record_failure` or
+        :meth:`record_success` for each participant in turn.  A closed
+        machine's clean round emits nothing, so it is applied inline;
+        failures and non-closed machines go through the per-machine
+        methods, in participant order.
+        """
+        unsettled = self._unsettled
+        machines = self._machines
+        alpha = self.reputation_alpha
+        eventful: list[str] = []
+        for name in participants:
+            if name in failures or name in unsettled:
+                eventful.append(name)
+                continue
+            health = machines[name]
+            health.rounds_participated += 1
+            health.consecutive_failures = 0
+            health.reputation += alpha * (1.0 - health.reputation)
+        for name in eventful:
+            if name in failures:
+                self.record_failure(name, failures[name])
+            else:
+                self.record_success(name)
 
     def record_success(self, name: str) -> None:
         """A clean round for ``name``: no alert, no missed deadline."""
@@ -188,6 +232,7 @@ class QuarantinePolicy:
             ):
                 health.state = CircuitState.CLOSED
                 health.current_cooldown = 0
+                self._unsettled.discard(name)
                 record_counter("resilience.quarantine.closed")
                 annotate("quarantine.closed", machine=name)
 
@@ -255,6 +300,7 @@ class QuarantinePolicy:
         health.consecutive_probe_successes = 0
         health.cooldown_remaining = 0
         health.current_cooldown = 0
+        self._unsettled.discard(name)
         record_counter("resilience.quarantine.resets")
         annotate("quarantine.reset", machine=name)
 
@@ -265,12 +311,27 @@ class QuarantinePolicy:
 
     def restore_health(self, name: str, saved: MachineHealth) -> None:
         """Restore a health record captured by :meth:`snapshot_health`."""
+        self._position.setdefault(name, len(self._machines))
         self._machines[name] = MachineHealth(**vars(saved))
+        if saved.state is CircuitState.CLOSED:
+            self._unsettled.discard(name)
+        else:
+            self._unsettled.add(name)
 
     # ------------------------------------------------------------ internals
 
+    def _unsettled_in_order(self) -> list[str]:
+        return sorted(self._unsettled, key=self._position.__getitem__)
+
+    def _unsettled_in_state(self, state: CircuitState) -> list[str]:
+        return [
+            n for n in self._unsettled_in_order()
+            if self._machines[n].state is state
+        ]
+
     def _open(self, name: str, health: MachineHealth) -> None:
         health.state = CircuitState.OPEN
+        self._unsettled.add(name)
         health.times_opened += 1
         record_counter(
             "resilience.quarantine.opened",

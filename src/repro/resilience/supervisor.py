@@ -13,9 +13,10 @@ through all of that:
 * **quarantine** — per-round outcomes (missed deadlines after retries,
   CUSUM slowdown alerts) feed a
   :class:`~repro.resilience.quarantine.QuarantinePolicy` circuit
-  breaker; quarantined machines sit out and their load is reallocated
-  to the survivors via the *incremental* PR state (an O(changes)
-  update, not an O(n) recompute);
+  breaker in one bulk update; quarantined machines sit out and their
+  load is reallocated to the survivors by a fresh closed-form PR solve
+  over the admitted bids (O(n) vector work, bit-identical to the
+  mechanism's own allocation);
 * **coordinator recovery** — the per-round
   :class:`SupervisedCoordinator` keeps one write-ahead log per round in
   a :class:`~repro.resilience.checkpoint.CheckpointStore`: a full
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro._validation import check_positive_scalar
 from repro.agents.base import Agent
-from repro.allocation.incremental import IncrementalPRState
+from repro.allocation.pr import pr_allocation
 from repro.mechanism.base import Mechanism
 from repro.mechanism.compensation_bonus import VerificationMechanism
 from repro.observability.instrumentation import (
@@ -48,7 +49,6 @@ from repro.observability.instrumentation import (
     observe_value,
     record_counter,
     record_gauge,
-    timed_section,
     trace_span,
 )
 from repro.protocol.coordinator import COORDINATOR_NAME, MachineNode, ProtocolPhase
@@ -63,7 +63,7 @@ from repro.protocol.messages import (
 from repro.protocol.monitoring import CusumSlowdownDetector
 from repro.protocol.network import SimulatedNetwork
 from repro.resilience.checkpoint import CheckpointStore, CoordinatorCheckpoint
-from repro.resilience.quarantine import CircuitState, QuarantinePolicy
+from repro.resilience.quarantine import QuarantinePolicy
 from repro.resilience.retry import BackoffPolicy
 from repro.system.des import Simulator
 from repro.protocol.execution import dispatch_batched, resolve_execution
@@ -100,9 +100,8 @@ class SupervisedCoordinator(FaultTolerantCoordinator):
 
     Extends :class:`~repro.protocol.FaultTolerantCoordinator` with:
 
-    * ``allocator`` — optional override for the allocation step, so the
-      supervisor can serve loads from its incremental PR state instead
-      of recomputing from scratch;
+    * ``allocator`` — optional override for the allocation step (the
+      supervisor passes its one allocation entry point);
     * ``checkpoint_store`` — the round's write-ahead log: a full
       snapshot at every phase transition, and one O(1) record per
       bid, report, and issued payment in between;
@@ -408,83 +407,24 @@ class SupervisorReport:
 
 
 class _IncrementalAllocator:
-    """PR allocation served from cross-round incremental state.
+    """The supervisor path's one allocation entry point: a fresh PR solve.
 
-    Keeps one :class:`~repro.allocation.IncrementalPRState` alive
-    across rounds; each round's (names, bids) is reconciled against it
-    with O(changes) add/remove/update operations — a quarantined
-    machine is one ``remove_machine``, a re-admitted probe one
-    ``add_machine`` — instead of rebuilding the O(n) sums from scratch.
+    Every round's loads are ``pr_allocation(bids, R)`` over the admitted
+    machines' bids, so they equal the loads the mechanism itself
+    computes from the same bids bit for bit, and one O(n) vector solve
+    costs less than reconciling cross-round incremental state.  The
+    class once did that reconciliation against an
+    :class:`~repro.allocation.IncrementalPRState`; the name stayed
+    because profiling tools and the repository benchmark wrap
+    ``_IncrementalAllocator.allocate`` as the supervisor's allocate
+    stage.
     """
-
-    def __init__(self) -> None:
-        self._state: IncrementalPRState | None = None
-        # name -> index in the state; insertion order is index order.
-        self._position: dict[str, int] = {}
-        self.incremental_ops = 0
-        self.rebuilds = 0
 
     def allocate(
         self, names: list[str], bids: np.ndarray, arrival_rate: float
     ) -> AllocationResult:
-        """Loads for ``names``/``bids`` via incremental reconciliation."""
-        ops_before = self.incremental_ops
-        rebuilds_before = self.rebuilds
-        with timed_section("allocation.incremental.seconds"):
-            self._reconcile(names, bids, arrival_rate)
-            assert self._state is not None
-            position = self._position
-            loads = self._state.loads()[[position[n] for n in names]]
-        if self.incremental_ops > ops_before:
-            record_counter(
-                "allocation.incremental.ops", self.incremental_ops - ops_before
-            )
-        if self.rebuilds > rebuilds_before:
-            record_counter(
-                "allocation.incremental.rebuilds", self.rebuilds - rebuilds_before
-            )
-        return AllocationResult(
-            loads=loads,
-            arrival_rate=arrival_rate,
-            bids=bids,
-            total_latency=float(np.dot(bids, loads**2)),
-        )
-
-    def _reconcile(
-        self, names: list[str], bids: np.ndarray, arrival_rate: float
-    ) -> None:
-        wanted = dict(zip(names, (float(b) for b in bids)))
-        if (
-            self._state is None
-            or self._state.arrival_rate != arrival_rate
-            or self._position.keys().isdisjoint(wanted)
-        ):
-            self._state = IncrementalPRState(
-                np.array([wanted[n] for n in names]), arrival_rate
-            )
-            self._position = {n: i for i, n in enumerate(names)}
-            self.rebuilds += 1
-            return
-        state = self._state
-        gone = [i for n, i in self._position.items() if n not in wanted]
-        if gone:
-            # Indices shift down as machines leave: the k-th removal
-            # sits k places below its original position.
-            for removed, index in enumerate(gone):
-                state.remove_machine(index - removed)
-            kept = [n for n in self._position if n in wanted]
-            self._position = {n: i for i, n in enumerate(kept)}
-            self.incremental_ops += len(gone)
-        current = state.bids  # one copy; update_bid touches only its own slot
-        for name, index in self._position.items():
-            bid = wanted[name]
-            if bid != current[index]:
-                state.update_bid(index, bid)
-                self.incremental_ops += 1
-        for name in names:
-            if name not in self._position:
-                self._position[name] = state.add_machine(wanted[name])
-                self.incremental_ops += 1
+        """PR loads for ``bids`` (``names`` is the matching membership)."""
+        return pr_allocation(bids, arrival_rate)
 
 
 class _SupervisedNode:
@@ -683,11 +623,6 @@ class RoundSupervisor:
     # ------------------------------------------------------------ queries
 
     @property
-    def allocator(self) -> _IncrementalAllocator:
-        """The cross-round incremental PR allocator (for inspection)."""
-        return self._allocator
-
-    @property
     def machine_names(self) -> list[str]:
         """All managed machine names, in registration order."""
         return list(self.agents)
@@ -792,8 +727,8 @@ class RoundSupervisor:
         The service is configured for bit-parity with the monolithic
         path: exact aggregation (the root reassembles the canonical
         arrays), global workload (the round consumes the supervisor's
-        RNG stream exactly as ``on_allocated`` would), the incremental
-        PR allocator, and the supervisor's remediation overrides and
+        RNG stream exactly as ``on_allocated`` would), the
+        supervisor's allocator, and its remediation overrides and
         CUSUM detector settings forwarded to every shard.
         """
         from repro.distributed.service import ShardedCoordinatorService
@@ -822,21 +757,17 @@ class RoundSupervisor:
         outcome = shard_round.outcome
         assert outcome is not None  # exact mode always prices at the root
         names = shard_round.names
-        loads = {n: float(x) for n, x in zip(names, outcome.loads)}
-        utilities = {
-            n: float(u) for n, u in zip(names, outcome.payments.utility)
-        }
+        loads = dict(zip(names, outcome.loads.tolist()))
+        utilities = dict(zip(names, outcome.payments.utility.tolist()))
         payments = {n: amounts[0] for n, amounts in shard_round.payments.items()}
         alerts = list(shard_round.alerts)
         for name in alerts:
             record_counter("supervisor.slowdown_alerts")
             annotate("slowdown.alert", machine=name)
 
-        for name in admitted:
-            if name in alerts:
-                self.quarantine.record_failure(name, "slowdown_alert")
-            else:
-                self.quarantine.record_success(name)
+        self.quarantine.record_outcomes(
+            admitted, dict.fromkeys(alerts, "slowdown_alert")
+        )
 
         return RoundResult(
             index=index,
@@ -868,11 +799,7 @@ class RoundSupervisor:
         rate = self.round_rate(index)
 
         admitted = self.quarantine.begin_round()
-        probes = [
-            n
-            for n in admitted
-            if self.quarantine.state_of(n) is CircuitState.HALF_OPEN
-        ]
+        probes = self.quarantine.probes()
         quarantined = self.quarantine.quarantined()
         machine_faults = dict(getattr(faults, "machine_faults", {}) or {})
         machine_faults = {
@@ -1126,10 +1053,8 @@ class RoundSupervisor:
         outcome = coordinator.outcome
 
         names = coordinator.machine_names
-        loads = {n: float(x) for n, x in zip(names, outcome.loads)}
-        utilities = {
-            n: float(u) for n, u in zip(names, outcome.payments.utility)
-        }
+        loads = dict(zip(names, outcome.loads.tolist()))
+        utilities = dict(zip(names, outcome.payments.utility.tolist()))
         payments = {n: amounts[0] for n, amounts in coordinator.payments_sent.items()}
 
         # ------------------------------------------------- online detection
@@ -1155,15 +1080,12 @@ class RoundSupervisor:
                     annotate("slowdown.alert", machine=name)
 
         # ------------------------------------------------------ quarantine
-        for name in admitted:
-            if name in coordinator.excluded:
-                self.quarantine.record_failure(name, "missed_bid")
-            elif name in withheld:
-                self.quarantine.record_failure(name, "missed_report")
-            elif name in alerts:
-                self.quarantine.record_failure(name, "slowdown_alert")
-            else:
-                self.quarantine.record_success(name)
+        # Later updates win: a missed bid outranks a missed report,
+        # which outranks an alert.
+        failures = dict.fromkeys(alerts, "slowdown_alert")
+        failures.update(dict.fromkeys(withheld, "missed_report"))
+        failures.update(dict.fromkeys(coordinator.excluded, "missed_bid"))
+        self.quarantine.record_outcomes(admitted, failures)
 
         return RoundResult(
             index=index,

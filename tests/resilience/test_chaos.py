@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.agents import TruthfulAgent
+from repro.mechanism import VerificationMechanism
 from repro.resilience import (
     ChaosHarness,
     FaultPlan,
@@ -16,6 +17,7 @@ from repro.resilience import (
     RoundSupervisor,
     check_round_invariants,
 )
+from repro.resilience.supervisor import RoundResult
 
 TRUE_VALUES = [1.0, 1.3, 1.7, 2.0, 2.4, 3.0]
 
@@ -131,6 +133,54 @@ class TestInvariantChecking:
         error = InvariantError([violation])
         assert error.violations == [violation]
         assert "ledger" in str(error)
+
+
+def _hand_built_round(field=None, name=None, value=None) -> RoundResult:
+    """A sound two-machine round built from one mechanism run, with
+    ``getattr(result, field)[name] = value`` applied when given."""
+    outcome = VerificationMechanism().run(np.array([1.0, 2.0]), 3.0)
+    names = ["C1", "C2"]
+    fields = dict(
+        index=0, participants=names, probes=[], quarantined=[], excluded=[],
+        withheld=[], alerts=[], faulted=[], fault_kinds={}, voided=False,
+        outcome=outcome,
+        loads=dict(zip(names, outcome.loads.tolist())),
+        payments=dict(zip(names, outcome.payments.payment.tolist())),
+        utilities=dict(zip(names, outcome.payments.utility.tolist())),
+        payment_notices=dict.fromkeys(names, 1), bid_retries=0,
+        report_retries=0, coordinator_restarts=0, arrival_rate=3.0,
+        jobs_routed=10,
+    )
+    result = RoundResult(**fields)
+    if field is not None:
+        getattr(result, field)[name] = value
+    return result
+
+
+class TestNonFiniteOutcomes:
+    def _invariants(self, *override) -> set[str]:
+        return {v.invariant for v in check_round_invariants(
+            _hand_built_round(*override), honest_names={"C1", "C2"}
+        )}
+
+    def test_hand_built_round_is_sound(self):
+        assert self._invariants() == set()
+
+    def test_nan_load_caught(self):
+        found = self._invariants("loads", "C1", float("nan"))
+        assert {"non-finite", "feasibility"} <= found
+
+    def test_inf_payment_caught(self):
+        found = self._invariants("payments", "C2", float("inf"))
+        assert {"non-finite", "ledger"} <= found
+
+    def test_nan_utility_caught(self):
+        found = self._invariants("utilities", "C1", float("nan"))
+        assert "non-finite" in found
+
+    def test_nan_payment_fails_the_ledger(self):
+        found = self._invariants("payments", "C1", float("nan"))
+        assert {"non-finite", "ledger"} <= found
 
 
 class TestChaosRuns:
