@@ -378,6 +378,24 @@ def _fmt_seconds(value: float | None) -> str:
     return "-" if value is None else f"{value * 1e6:,.0f}µs"
 
 
+#: Which path each supervised round took: counter -> label.
+_ROUND_PATHS = (
+    ("horizon.fused.rounds", "fused (horizon Phase A + stacked Phase B)"),
+    ("supervisor.direct_rounds", "direct (Phase A + one priced row)"),
+    ("supervisor.message_rounds", "message (coordinator over the DES)"),
+    ("supervisor.sharded_rounds", "sharded (coordinator service)"),
+)
+
+
+def _round_paths(counters: list[dict]) -> dict[str, int]:
+    """Rounds per path, from an instrumentation snapshot's counters."""
+    totals = {name: 0 for name, _ in _ROUND_PATHS}
+    for counter in counters:
+        if counter["name"] in totals:
+            totals[counter["name"]] += int(counter["value"])
+    return totals
+
+
 def _cmd_metrics(args: argparse.Namespace) -> str:
     import json
 
@@ -456,6 +474,7 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
 
     if args.json:
         payload = instr.snapshot()
+        payload["round_paths"] = _round_paths(payload["counters"])
         if not args.campaign:
             payload["quarantine"] = {
                 name: {
@@ -527,6 +546,18 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
         ),
         render_table(["counter", "value"], counter_rows, title="Counters."),
     ]
+    paths = _round_paths(snapshot["counters"])
+    if any(paths.values()):
+        parts.append(
+            render_table(
+                ["path", "counter", "rounds"],
+                [
+                    [label, name, paths[name]]
+                    for name, label in _ROUND_PATHS
+                ],
+                title="Round paths.",
+            )
+        )
     if gauge_rows:
         parts.append(render_table(["gauge", "value"], gauge_rows, title="Gauges."))
     if quarantine_rows:
@@ -536,7 +567,7 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
                 for g in snapshot["gauges"]
                 if g["name"] == "protocol.events_skipped"
             ),
-            0.0,
+            None,
         )
         parts.append(
             render_table(
@@ -545,9 +576,11 @@ def _cmd_metrics(args: argparse.Namespace) -> str:
                 title="Quarantine circuit states (end of run).",
             )
         )
-        parts.append(
-            f"Batched engine events skipped (last round): {events_skipped:g}."
-        )
+        if events_skipped is not None:  # only message-path rounds run a DES
+            parts.append(
+                "Batched engine events skipped (last message-path round): "
+                f"{events_skipped:g}."
+            )
     if histogram_rows:
         parts.append(
             render_table(
@@ -710,6 +743,8 @@ def _cmd_horizon(args: argparse.Namespace) -> str:
         "defused_boundaries": int(
             counters.get("horizon.defused.boundaries", 0)
         ),
+        "direct_rounds": int(counters.get("supervisor.direct_rounds", 0)),
+        "message_rounds": int(counters.get("supervisor.message_rounds", 0)),
         "jobs_routed": int(sum(r.jobs_routed for r in report.rounds)),
         "alert_rounds": sum(1 for r in report.rounds if r.alerts),
         "schedule": args.schedule,

@@ -1,109 +1,84 @@
-"""Horizon-fused multi-round engine: stacked rounds between event boundaries.
+"""Clean supervised rounds: one implementation, run alone or stacked.
 
-The sequential :class:`~repro.resilience.supervisor.RoundSupervisor`
-pays full per-round protocol machinery even when nothing interesting
-happens: a fresh discrete-event simulator, ~5n messages through the
-network layer, a write-ahead log with up to four full checkpoint
-snapshots per round, and a pile of per-round dataclass churn.  On a
-fault-free horizon every one of those rounds computes the same *kind*
-of thing — bids, one PR solve, one Poisson window, masked
-per-machine sojourn statistics, one mechanism evaluation — so this
-module evaluates maximal fault-free runs of rounds as one fused
-segment instead.
+In the paper a round is simple once the bids and the verified execution
+values are known: one PR allocation, then compensation plus bonus.  The
+message protocol — a discrete-event simulator (DES), ~5n control
+messages, retries, checkpoint/restore — only earns its cost when
+messages or machines fail.  :func:`phase_a` is the one implementation
+of a round where nothing fails; :func:`run_horizon` stacks the pricing
+of many such rounds.
 
-Fusible-segment model
----------------------
-:func:`run_horizon` walks the horizon and partitions it into maximal
-**fusible segments**.  A round is fusible (:func:`fusible_round`) iff
-nothing about it needs the message-driven machinery:
+A round is **clean** (``RoundSupervisor._takes_direct_path``) when its
+fault entry is ``None`` or clean (no drops, machine faults or
+coordinator crash), no remediation skip is pending, and the monolithic
+batched engine runs it (``shards == 1``, ``execution == "batched"``:
+the per-job event path interleaves its service draws with event
+delivery order).  Phase A takes it from bids to the quarantine update
+— bids with remediation overrides, the supervisor's allocator (a fresh
+PR solve), the workload draw through the message path's own
+``RoundSupervisor._generate_times``, one sort-once routing, the service
+draws and sojourn statistics of all machines with jobs in one vector
+pass, the estimates, CUSUM detection and one bulk quarantine update —
+in O(jobs + changes) Python plus O(n) vector work.  Two callers:
 
-* its fault entry is ``None`` or clean (no drops, no machine faults,
-  no coordinator crash);
-* the supervisor has no pending remediation skip (``skip_rounds == 0``)
-  and no remediation pipeline at all (the pipeline may mutate
-  supervisor state *between* rounds, which only the sequential path
-  sequences correctly);
-* the monolithic batched execution engine is active (``shards == 1``,
-  ``execution == "batched"`` — the per-job event path interleaves its
-  service draws with event delivery order and cannot be replayed as a
-  batch).
+* **direct** — ``RoundSupervisor.run_round``: each stage runs in its
+  ``supervisor.{bidding,execution,reporting,detection}`` span, the
+  round's write-ahead log gets what the message path's coordinator
+  writes (``resilience.supervisor._RoundLog``), and the round is priced
+  at once as one B=1 row;
+* **fused** — :func:`run_horizon` (``horizon=True``), over maximal runs
+  of clean rounds with no remediation pipeline attached (a pipeline
+  acts *between* rounds, so then every round goes through
+  ``run_round``, which is direct when clean): no spans, no log, and
+  Phase B prices the segment's live rounds per width as one
+  ``(T_seg, n)`` block through
+  :func:`~repro.mechanism.pricing.price_rows` (DESIGN.md §14).
 
-Every non-fusible round **de-fuses**: it is delegated verbatim to
-``supervisor.run_round(faults)`` (counted by
-``horizon.defused.boundaries``), so chaos, remediation, retry, and
-crash-recovery semantics are exactly the sequential code — not a
-reimplementation.
-
-A fused segment runs in two phases:
-
-* **Phase A (per round, cheap):** quarantine admission, agent bids
-  with remediation overrides, the supervisor's allocator (a fresh PR
-  solve), the round's workload draw through the *same*
-  ``RoundSupervisor._generate_times`` the sequential path uses, one
-  sort-once routing (:func:`~repro.protocol.execution.route_by_machine`)
-  and sojourn statistics for the machines that received jobs, the
-  estimates in one ``np.where``, CUSUM detection over the machines
-  with jobs, and one bulk quarantine update.  A wide round with few
-  jobs costs O(jobs + changes) Python plus O(n) vector work (and one
-  ``bid()`` and ``execution_value()`` call per admitted agent).
-  Membership churn (an alert quarantining a machine mid-segment,
-  probes re-admitted) is handled naturally because admission still
-  happens round by round.
-* **Phase B (stacked):** all live rounds of the segment are grouped
-  by machine count and priced as one ``(T_seg, n)`` block through
-  :func:`~repro.mechanism.pricing.price_rows`, the kernel the
-  per-round ``VerificationMechanism.run`` prices its single row with
-  (DESIGN.md §14), so Phase B cannot drift from the sequential
-  pricing.  Other mechanism types are priced per round through
-  ``mechanism.run`` while Phase A still skips the protocol tax.
+Other mechanisms are priced per round through ``mechanism.run`` on
+both.  Every other round runs the coordinator over the DES in the
+supervisor, which :func:`run_horizon` reaches through ``run_round``
+(``horizon.defused.boundaries``).
 
 Parity contract
 ---------------
-Results are **bit-identical** to ``supervisor.run(n_rounds)`` on the
-same seed — every float in every :class:`RoundResult`, through
-``repr`` and back.  Two properties carry the contract:
+Direct and fused rounds run the same code; both are **bit-identical**
+to the message path on the same seed — every float of every
+:class:`RoundResult`, and a direct round's final checkpoint — because:
 
-1. **RNG stream order.**  A clean sequential round consumes, in
-   order: the Poisson count draw, the uniform position draws, the
-   routing ``choice`` draw, then (stochastic service only) one
-   exponential batch per machine with jobs, in machine-index order.
-   Phase A replays exactly that order; notably the workload is drawn
-   per round (``PoissonWorkload.horizon_times`` documents why a
-   single segment-level draw is off the table) and backoff RNG is
-   never consumed because clean rounds never retry.
-2. **Zero-delay timing.**  The simulated network delivers at delay
-   0.0, so allocation fires at ``sim.now == 0.0`` and the dispatched
-   arrival times are ``0.0 + times`` — bitwise the raw draw.
-   Sojourns are ``(times_k + duration) - times_k`` per machine on the
-   same per-machine subarrays (arrival order) ``dispatch_batched``
-   hands to ``submit_batch``.
+1. **RNG stream order.**  A clean message-path round draws the Poisson
+   count, the uniform positions, the routing ``choice``, then
+   (stochastic service only) one exponential batch per machine with
+   jobs, in machine-index order.  Phase A draws those batches as one
+   ``exponential`` call over the per-job means, which consumes the
+   stream element for element in that order.  Clean rounds never
+   retry, so backoff RNG is never consumed.
+2. **Zero-delay timing.**  The network delivers at delay 0.0, so the
+   dispatched arrival times are ``0.0 + times``, bitwise the draw;
+   sojourns are ``(times_k + duration) - times_k`` on the per-machine
+   subarrays ``dispatch_batched`` submits, and a machine's mean sojourn
+   is ``ndarray.mean`` of its subarray (written out for one and two
+   jobs, where it is ``s0`` and ``(s0 + s1) / 2``).
 
-Loads need no clause of their own: the supervisor's allocator is the
-fresh PR solve over the round's bids, so the loads that configure the
-machines, route the jobs and scale the estimates *are* the loads the
-mechanism prices and the detector reads, bit for bit (a test pins
-this on the sequential, sharded and fused paths).  A mechanism with
-its own allocation is priced per round, and its loads feed detection
-and ``RoundResult.loads`` as in the sequential round.
+The allocator's loads are the mechanism's loads bit for bit, so one
+array configures the machines, routes the jobs, scales the estimates
+and feeds detection; a mechanism with its own allocation is priced
+inside Phase A and its loads feed detection, as on the message path.
 
-Detection runs through the same
-:meth:`~repro.protocol.monitoring.CusumSlowdownDetector.observe_many`
-the sequential round calls; its exact zero-statistic screen is what
-makes a quiet machine's per-job loop free on both paths.
-
-Observability: fused rounds record the sequential counters
-(``supervisor.rounds``, ``supervisor.jobs_routed``, quarantine gauge)
-plus ``horizon.fused.rounds``; every de-fused round additionally
-counts ``horizon.defused.boundaries``.  ``repro metrics --horizon``
-surfaces both next to the campaign fusion counters.
+Counters: ``supervisor.direct_rounds``, ``supervisor.message_rounds``,
+``horizon.fused.rounds`` (with the sequential ``supervisor.rounds``,
+``supervisor.jobs_routed`` and quarantine gauge) and
+``horizon.defused.boundaries``; ``repro metrics`` prints them as one
+"Round paths" table.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro._validation import check_positive_scalar
 from repro.mechanism.compensation_bonus import VerificationMechanism
 from repro.mechanism.pricing import price_rows
 from repro.observability.instrumentation import (
@@ -120,13 +95,17 @@ from repro.types import AllocationResult, MechanismOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (resilience imports protocol)
     from repro.resilience.chaos import RoundFaults
-    from repro.resilience.supervisor import (
-        RoundResult,
-        RoundSupervisor,
-        SupervisorReport,
-    )
+    from repro.resilience.supervisor import RoundSupervisor, SupervisorReport
 
-__all__ = ["fusible_round", "run_horizon"]
+__all__ = ["fusible_round", "phase_a", "run_horizon"]
+
+
+_NO_SPAN = contextlib.nullcontext()
+
+
+def _no_span(_name: str) -> contextlib.nullcontext:
+    """Stand-in for a stage span on fused rounds."""
+    return _NO_SPAN
 
 
 def fusible_round(
@@ -134,86 +113,58 @@ def fusible_round(
 ) -> bool:
     """Whether the next round can join a fused segment.
 
-    Decided *before* any supervisor state is touched: fault-free (or a
-    clean :class:`~repro.resilience.chaos.RoundFaults`), no pending
-    remediation skip, no remediation pipeline, monolithic batched
-    execution.  Anything else de-fuses to ``supervisor.run_round``.
+    A clean round (the direct path's predicate) with no remediation
+    pipeline attached; decided *before* any supervisor state is
+    touched.  Anything else goes to ``supervisor.run_round``.
     """
-    if supervisor.shards > 1 or supervisor.remediation is not None:
+    if supervisor.remediation is not None:
         return False
-    if supervisor.skip_rounds > 0:
-        return False
-    if supervisor.execution != "batched":
-        return False
-    if faults is None:
-        return True
-    return bool(getattr(faults, "is_clean", False))
+    return supervisor._takes_direct_path(faults)
 
 
-def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
-    """Evaluate ``count`` consecutive fusible rounds as one segment."""
-    from repro.resilience.supervisor import RoundResult
+def phase_a(
+    supervisor: "RoundSupervisor",
+    index: int,
+    rate: float,
+    admitted: list[str],
+    probes: list[str],
+    quarantined: list[str],
+    wal=None,
+) -> dict:
+    """One clean round, from bids to the quarantine update.
 
+    ``admitted`` (at least two machines), ``probes`` and
+    ``quarantined`` come from this round's ``begin_round``.  Returns
+    the round's record for :func:`round_result`.
+
+    ``wal`` is a direct round's write-ahead log (the supervisor's
+    ``_RoundLog``): each stage then runs in its ``supervisor.*`` span,
+    the log is written as the stages complete, and the round is priced
+    at once.  A fused round passes none: no spans, no log, and a
+    verification-mechanism round leaves ``record["outcome"]`` as
+    ``None`` for Phase B.
+    """
     mechanism = supervisor.mechanism
-    exact_stack = type(mechanism) is VerificationMechanism
     agents = supervisor.agents
-    quarantine = supervisor.quarantine
+    stage = _no_span if wal is None else trace_span
 
-    results: list = []
-    deferred: list[tuple[int, dict]] = []  # (slot in results, phase-A record)
-
-    for _ in range(count):
-        index = supervisor._round_index
-        supervisor._round_index += 1
-        rate = supervisor.round_rate(index)
-
-        admitted = quarantine.begin_round()
-        probes = quarantine.probes()
-        quarantined = quarantine.quarantined()
-
-        record_counter("horizon.fused.rounds")
-        record_counter("supervisor.rounds")
-        record_gauge("resilience.quarantine.open", len(quarantined))
-
-        if len(admitted) < 2:
-            # Too few live machines to price: the sequential path voids
-            # without touching quarantine outcomes — replicated inline
-            # (delegating to run_round would re-run begin_round and
-            # corrupt the cooldown clocks).
-            record_counter("supervisor.rounds_voided")
-            observe_value("supervisor.jobs_routed", 0)
-            results.append(
-                RoundResult(
-                    index=index,
-                    participants=list(admitted),
-                    probes=probes,
-                    quarantined=quarantined,
-                    excluded=list(admitted),
-                    withheld=[],
-                    alerts=[],
-                    faulted=[],
-                    fault_kinds={},
-                    voided=True,
-                    outcome=None,
-                    loads={},
-                    payments={},
-                    utilities={},
-                    payment_notices={},
-                    bid_retries=0,
-                    report_retries=0,
-                    coordinator_restarts=0,
-                    arrival_rate=rate,
-                    jobs_routed=0,
-                )
-            )
-            continue
-
-        # -------------------------------------------------- wiring order
-        # The sequential round materialises machines (one
+    with stage("supervisor.bidding"):
+        if wal is not None:
+            wal.begin()
+        # The message path materialises machines (one
         # ``agent.execution_value()`` each, in admitted order) before
         # any bid is requested; stateful agents observe the same call
         # sequence here.
-        execution_values = [agents[name].execution_value() for name in admitted]
+        execution_values = np.array(
+            [agents[name].execution_value() for name in admitted],
+            dtype=np.float64,
+        )
+        # Validated as the message path's machine constructor does.
+        if not (
+            np.isfinite(execution_values).all() and (execution_values > 0.0).all()
+        ):
+            for value in execution_values.tolist():
+                check_positive_scalar(value, "execution_value")  # raises
         bid_list = [agents[name].bid() for name in admitted]
         if supervisor.bid_overrides:
             for k, name in enumerate(admitted):
@@ -228,144 +179,184 @@ def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
                     )
                     bid_list[k] = float(override)
         bids = np.array(bid_list, dtype=np.float64)
-
         # The allocator is the fresh PR solve, so these loads are the
         # mechanism's loads bit for bit: they configure the machines,
         # route the jobs, and feed the estimates and the detection.
-        allocation = supervisor._allocator.allocate(admitted, bids, rate)
-        alloc_loads = allocation.loads
+        loads = supervisor._allocator.allocate(admitted, bids, rate).loads
+        if wal is not None:
+            wal.allocated(bids, loads)
 
+    with stage("supervisor.execution"):
         times = supervisor._generate_times(index)
         jobs_routed = int(times.size)
         assignments = split_assignments(
-            jobs_routed, alloc_loads / alloc_loads.sum(), supervisor._rng
+            jobs_routed, loads / loads.sum(), supervisor._rng
+        )
+        counts, sojourns, bounds, mean_sojourns = _execute(
+            supervisor, times, assignments, execution_values, loads
         )
 
-        # Per-machine execution statistics on the same per-machine
-        # subarrays dispatch_batched submits (arrivals are 0.0 + times,
-        # bitwise the raw draws under the zero-delay network), visiting
-        # only the machines that received jobs, in machine-index order.
-        n = len(admitted)
-        routed, counts, bounds = route_by_machine(times, assignments, n)
-        busy = np.flatnonzero(counts).tolist()
-        mean_sojourns = np.zeros(n)
-        busy_sojourns: list[np.ndarray] = []
-        for k in busy:
-            sub = routed[bounds[k] : bounds[k + 1]]
-            mean = float(execution_values[k]) * float(alloc_loads[k])
-            if supervisor.deterministic_service:
-                durations = np.full(sub.size, mean)
-            else:
-                durations = supervisor._rng.exponential(mean, size=sub.size)
-            sojourns = (sub + durations) - sub
-            busy_sojourns.append(sojourns)
-            mean_sojourns[k] = float(sojourns.mean())
-
+    with stage("supervisor.reporting"):
         # Execution-value estimates (the coordinator's
         # ``_complete_verification`` rule): a machine with no
         # completions reports mean_sojourn 0.0 and falls back to its bid.
         with np.errstate(divide="ignore", invalid="ignore"):
             estimates = np.where(
-                (counts == 0) | (alloc_loads == 0.0),
-                bids,
-                mean_sojourns / alloc_loads,
+                (counts == 0) | (loads == 0.0), bids, mean_sojourns / loads
             )
-
-        # ---------------------------------------------------- mechanism
-        outcome: MechanismOutcome | None = None
-        if (
-            exact_stack
-            and np.all(bids > 0.0)
-            and np.all(estimates > 0.0)
-            and np.all(np.isfinite(estimates))
-        ):
-            # Deferred: priced in the stacked Phase B broadcast.
-            mech_loads = alloc_loads
-        else:
-            # Non-verification mechanisms (or degenerate inputs, which
-            # must raise exactly as the sequential path would) are
-            # priced per round; the protocol tax is still skipped.
-            outcome = mechanism.run(bids, rate, estimates)
-            mech_loads = outcome.loads
-
-        # ---------------------------------------------------- detection
-        alerts: list[str] = []
-        for k, sojourns in zip(busy, busy_sojourns):
-            load = float(mech_loads[k])
-            if load <= 0.0:
-                continue
-            detector = CusumSlowdownDetector(
-                float(bids[k]),
-                load,
-                threshold=supervisor.detector_threshold,
-                slack=supervisor.detector_slack,
-            )
-            if detector.observe_many(sojourns) is not None:
-                alerts.append(admitted[k])
-                record_counter("supervisor.slowdown_alerts")
-                annotate("slowdown.alert", machine=admitted[k])
-
-        quarantine.record_outcomes(
-            admitted, dict.fromkeys(alerts, "slowdown_alert")
-        )
-        observe_value("supervisor.jobs_routed", jobs_routed)
-
+        if wal is not None:
+            wal.reported(counts, mean_sojourns)
         record = {
             "index": index,
             "rate": rate,
             "admitted": admitted,
             "probes": probes,
             "quarantined": quarantined,
-            "alerts": alerts,
             "bids": bids,
             "estimates": estimates,
             "jobs_routed": jobs_routed,
-            "outcome": outcome,
+            "outcome": None,
         }
-        if outcome is None:
-            deferred.append((len(results), record))
-            results.append(None)  # filled by Phase B
+        if (
+            type(mechanism) is VerificationMechanism
+            and np.all(bids > 0.0)
+            and np.all(estimates > 0.0)
+            and np.all(np.isfinite(estimates))
+        ):
+            if wal is not None:
+                _price_block(mechanism, [record])
         else:
-            results.append(_round_result(RoundResult, record))
+            # Non-verification mechanisms (or degenerate inputs, which
+            # must raise exactly as the message path would) are priced
+            # through the mechanism itself.
+            record["outcome"] = mechanism.run(bids, rate, estimates)
+        outcome = record["outcome"]
+        if wal is not None:
+            wal.paid(outcome.payments)
 
-    # ---------------------------------------------------------- Phase B
-    # Stack the deferred rounds by machine count and price each group
-    # as one broadcast.  Rows are independent, so membership may vary
-    # within a group; grouping by n only keeps the block rectangular.
-    by_width: dict[int, list[tuple[int, dict]]] = {}
-    for slot, record in deferred:
-        by_width.setdefault(record["bids"].size, []).append((slot, record))
-    # ``price_rows`` is the kernel a sequential round's ``mechanism.run``
-    # prices its single row with, so a row priced here has the same bits.
-    for members in by_width.values():
-        rates = np.array([rec["rate"] for _, rec in members])
-        priced = price_rows(
-            np.array([rec["bids"] for _, rec in members]),
-            np.array([rec["estimates"] for _, rec in members]),
-            rates,
-            mechanism.compensation_mode,
-        )
-        for r, (slot, record) in enumerate(members):
-            record["outcome"] = MechanismOutcome(
-                allocation=AllocationResult(
-                    loads=priced.loads[r],
-                    arrival_rate=float(rates[r]),
-                    bids=record["bids"],
-                    total_latency=float(priced.declared_latency[r]),
-                ),
-                payments=priced.payments_of(r),
-                execution_values=record["estimates"],
-                metadata={"mechanism": type(mechanism).__name__},
+    mech_loads = loads if outcome is None else outcome.loads
+    alerts: list[str] = []
+    with stage("supervisor.detection"):
+        for k in _watched(supervisor, counts, sojourns, bounds, bids, mech_loads):
+            detector = CusumSlowdownDetector(
+                float(bids[k]),
+                float(mech_loads[k]),
+                threshold=supervisor.detector_threshold,
+                slack=supervisor.detector_slack,
             )
-            results[slot] = _round_result(RoundResult, record)
-    return results
+            alert = detector.observe_many(sojourns[bounds[k] : bounds[k + 1]])
+            if alert is not None:
+                alerts.append(admitted[k])
+                record_counter("supervisor.slowdown_alerts")
+                annotate("slowdown.alert", machine=admitted[k])
+    record["alerts"] = alerts
+
+    supervisor.quarantine.record_outcomes(
+        admitted, dict.fromkeys(alerts, "slowdown_alert")
+    )
+    return record
 
 
-def _round_result(round_result_cls, record: dict):
-    """Assemble one clean fused round's RoundResult from its outcome."""
+def _execute(supervisor, times, assignments, execution_values, loads):
+    """Service draws and sojourn statistics of one clean round.
+
+    Returns ``(counts, sojourns, bounds, mean_sojourns)``: machine
+    ``k``'s sojourns are ``sojourns[bounds[k] : bounds[k + 1]]``, in
+    arrival order, and its mean sojourn is 0.0 without jobs.  One vector
+    pass covers every job; only machines with three or more jobs take a
+    per-machine ``mean`` (the pairwise sum is not a plain left-to-right
+    one beyond two terms).
+    """
+    n = loads.size
+    routed, counts, bounds = route_by_machine(times, assignments, n)
+    mean_sojourns = np.zeros(n)
+    if not routed.size:
+        return counts, routed, bounds, mean_sojourns
+    means = np.repeat(execution_values * loads, counts)
+    if supervisor.deterministic_service:
+        durations = means
+    else:
+        # One draw over the per-job means consumes the stream exactly as
+        # one ``exponential(mean, size)`` per machine in machine order.
+        durations = supervisor._rng.exponential(means)
+    sojourns = (routed + durations) - routed
+    starts = np.asarray(bounds[:-1])
+    one = counts == 1
+    mean_sojourns[one] = sojourns[starts[one]]
+    two = np.flatnonzero(counts == 2)
+    pair = starts[two]
+    mean_sojourns[two] = (sojourns[pair] + sojourns[pair + 1]) / 2.0
+    for k in np.flatnonzero(counts > 2).tolist():
+        mean_sojourns[k] = float(sojourns[bounds[k] : bounds[k + 1]].mean())
+    return counts, sojourns, bounds, mean_sojourns
+
+
+def _watched(supervisor, counts, sojourns, bounds, bids, loads) -> list[int]:
+    """Machines whose jobs could move a fresh CUSUM detector, in index order.
+
+    The message path builds a detector for every machine with jobs and
+    a positive load.  From its zero statistic a detector whose sojourns
+    are all non-negative, none NaN, and the largest within the slack
+    band (``max / (b x) - 1 - slack <= 0``) stays at zero and raises
+    nothing — the exact screen ``observe_many`` runs first — so this
+    screen runs for every machine in one vector pass, with the same
+    float operations, and only the machines failing it get a detector.
+    A machine with a bid or load the detector would reject fails it
+    too, so the detector raises as on the message path.
+    """
+    busy = np.flatnonzero(counts)
+    if not busy.size:
+        return []
+    starts = np.asarray(bounds[:-1])[busy]
+    peaks = np.maximum.reduceat(sojourns, starts)
+    lows = np.minimum.reduceat(sojourns, starts)
+    declared, load = bids[busy], loads[busy]
+    with np.errstate(all="ignore"):
+        quiet = (
+            (lows >= 0.0)
+            & (peaks / (declared * load) - 1.0 - supervisor.detector_slack <= 0.0)
+            & (declared > 0.0)
+            & np.isfinite(declared)
+            & np.isfinite(load)
+        )
+    return busy[~quiet & ~(load <= 0.0)].tolist()
+
+
+def _price_block(mechanism, records: list[dict]) -> None:
+    """Price same-width clean rounds as one block; fill their outcomes.
+
+    ``price_rows`` is the kernel ``VerificationMechanism.run`` prices
+    its single row with, so a row priced here — alone (a direct round)
+    or stacked (Phase B) — has the same bits.
+    """
+    rates = np.array([record["rate"] for record in records])
+    priced = price_rows(
+        np.array([record["bids"] for record in records]),
+        np.array([record["estimates"] for record in records]),
+        rates,
+        mechanism.compensation_mode,
+    )
+    for r, record in enumerate(records):
+        record["outcome"] = MechanismOutcome(
+            allocation=AllocationResult(
+                loads=priced.loads[r],
+                arrival_rate=float(rates[r]),
+                bids=record["bids"],
+                total_latency=float(priced.declared_latency[r]),
+            ),
+            payments=priced.payments_of(r),
+            execution_values=record["estimates"],
+            metadata={"mechanism": type(mechanism).__name__},
+        )
+
+
+def round_result(record: dict):
+    """The RoundResult of one priced clean round."""
+    from repro.resilience.supervisor import RoundResult
+
     outcome = record["outcome"]
     names = record["admitted"]
-    return round_result_cls(
+    return RoundResult(
         index=record["index"],
         participants=list(names),
         probes=record["probes"],
@@ -389,17 +380,70 @@ def _round_result(round_result_cls, record: dict):
     )
 
 
+def _run_fused_segment(supervisor: "RoundSupervisor", count: int) -> list:
+    """Run ``count`` consecutive fusible rounds; price them in Phase B."""
+    from repro.resilience.supervisor import RoundResult
+
+    quarantine = supervisor.quarantine
+    results: list = []
+    deferred: dict[int, list[tuple[int, dict]]] = {}  # width -> (slot, record)
+
+    for _ in range(count):
+        index = supervisor._round_index
+        supervisor._round_index += 1
+        rate = supervisor.round_rate(index)
+
+        admitted = quarantine.begin_round()
+        probes = quarantine.probes()
+        quarantined = quarantine.quarantined()
+
+        record_counter("horizon.fused.rounds")
+        record_counter("supervisor.rounds")
+        record_gauge("resilience.quarantine.open", len(quarantined))
+
+        if len(admitted) < 2:
+            # Too few live machines to price: the sequential path voids
+            # without touching quarantine outcomes — replicated inline
+            # (delegating to run_round would re-run begin_round and
+            # corrupt the cooldown clocks).
+            record_counter("supervisor.rounds_voided")
+            observe_value("supervisor.jobs_routed", 0)
+            results.append(RoundResult.voided_round(
+                index, rate, admitted, probes, quarantined, list(admitted)
+            ))
+            continue
+
+        record = phase_a(supervisor, index, rate, admitted, probes, quarantined)
+        observe_value("supervisor.jobs_routed", record["jobs_routed"])
+        if record["outcome"] is None:
+            deferred.setdefault(len(admitted), []).append((len(results), record))
+            results.append(None)  # filled by Phase B
+        else:
+            results.append(round_result(record))
+
+    # ---------------------------------------------------------- Phase B
+    # Stack the deferred rounds by machine count and price each group
+    # as one broadcast.  Rows are independent, so membership may vary
+    # within a group; grouping by n only keeps the block rectangular.
+    for members in deferred.values():
+        _price_block(supervisor.mechanism, [record for _, record in members])
+        for slot, record in members:
+            results[slot] = round_result(record)
+    return results
+
+
 def run_horizon(
     supervisor: "RoundSupervisor",
     n_rounds: int,
     fault_plan=None,
 ) -> "SupervisorReport":
-    """Drive ``n_rounds`` rounds, fusing every maximal fault-free run.
+    """Drive ``n_rounds`` rounds, fusing every maximal fusible run.
 
-    Bit-identical to ``supervisor.run(n_rounds, fault_plan)`` on the
-    same seed (the A27 bench asserts this before timing anything);
-    every non-fusible round de-fuses to ``supervisor.run_round`` so
-    chaos and remediation semantics are the sequential code itself.
+    Bit-identical to ``supervisor.run(n_rounds, fault_plan)`` without
+    ``horizon`` on the same seed (the A27 bench asserts this against
+    the message path before timing anything); every other round goes
+    to ``supervisor.run_round``, so chaos and remediation semantics are
+    the supervisor's own code.
     """
     from repro.resilience.supervisor import SupervisorReport
 

@@ -137,14 +137,18 @@ class ShadowVerifier:
         """One verdict per proposed action, in proposal order."""
         if not actions:
             return []
+        # One world model per evidence round: the agents are immutable,
+        # so the baseline and every candidate share them.
+        agents = self._world_agents(supervisor, result)
         baseline_excess, baseline_violations = self._dry_run(
-            supervisor, result, action=None
+            supervisor, result, agents, action=None
         )
         verdicts = []
         for action in actions:
             verdicts.append(
                 self._judge(
-                    supervisor, result, action, baseline_excess, baseline_violations
+                    supervisor, result, agents, action,
+                    baseline_excess, baseline_violations,
                 )
             )
         return verdicts
@@ -153,11 +157,14 @@ class ShadowVerifier:
         self,
         supervisor: "RoundSupervisor",
         result: "RoundResult",
+        agents: list[_FixedAgent],
         action: RemediationAction,
         baseline_excess: float,
         baseline_violations: tuple[InvariantViolation, ...],
     ) -> ShadowVerdict:
-        predicted, violations = self._dry_run(supervisor, result, action=action)
+        predicted, violations = self._dry_run(
+            supervisor, result, agents, action=action
+        )
         fresh = [v for v in violations if v.invariant not in
                  {b.invariant for b in baseline_violations}]
         if fresh:
@@ -206,6 +213,7 @@ class ShadowVerifier:
         self,
         supervisor: "RoundSupervisor",
         result: "RoundResult",
+        agents: list[_FixedAgent],
         *,
         action: RemediationAction | None,
     ) -> tuple[float, tuple[InvariantViolation, ...]]:
@@ -215,7 +223,7 @@ class ShadowVerifier:
         not bump live counters, open spans, or move gauges — observable
         side effects would make the verifier itself a source of noise.
         """
-        shadow = self._fork(supervisor, result)
+        shadow = self._fork(supervisor, result, agents)
         previous = instrumentation.disable()
         try:
             applier = ActionApplier()
@@ -243,15 +251,29 @@ class ShadowVerifier:
         predicted = float(np.mean(gaps)) if gaps else float("inf")
         return predicted, tuple(violations)
 
-    def _fork(
+    def _world_agents(
         self, supervisor: "RoundSupervisor", result: "RoundResult"
+    ) -> list[_FixedAgent]:
+        """The shadow world's machines, in the live supervisor's order."""
+        declared, estimated = self._world_model(supervisor, result)
+        return [
+            _FixedAgent(declared[n], estimated[n]) for n in supervisor.machine_names
+        ]
+
+    def _fork(
+        self,
+        supervisor: "RoundSupervisor",
+        result: "RoundResult",
+        agents: list[_FixedAgent],
     ) -> "RoundSupervisor":
-        """A shadow supervisor mirroring the live one's observable state."""
+        """A shadow supervisor mirroring the live one's observable state.
+
+        Fault-free, deterministic and batched, so every shadow round
+        takes the supervisor's direct path.
+        """
         from repro.resilience.supervisor import RoundSupervisor
 
         names = supervisor.machine_names
-        declared, estimated = self._world_model(supervisor, result)
-        agents = [_FixedAgent(declared[n], estimated[n]) for n in names]
         shadow = RoundSupervisor(
             agents,
             supervisor.arrival_rate,

@@ -26,6 +26,7 @@ and open at the probe cadence.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -124,6 +125,25 @@ class QuarantinePolicy:
         # circuit is not CLOSED (the only ones a round has to visit).
         self._position: dict[str, int] = {}
         self._unsettled: set[str] = set()
+
+    def __deepcopy__(self, memo: dict) -> "QuarantinePolicy":
+        """An independent copy in O(machines).
+
+        Health records are flat, so each is copied the way
+        :meth:`snapshot_health` copies one; the index containers are
+        copied alongside.  A generic deep copy walks every field of
+        every record instead (the remediation shadow forks one per dry
+        run).
+        """
+        clone = copy.copy(self)
+        clone._machines = {
+            name: MachineHealth(**vars(health))
+            for name, health in self._machines.items()
+        }
+        clone._position = dict(self._position)
+        clone._unsettled = set(self._unsettled)
+        memo[id(self)] = clone
+        return clone
 
     # ------------------------------------------------------------ wiring
 

@@ -26,6 +26,15 @@ through all of that:
   and either resumes the round or voids it, never paying a machine
   twice.
 
+A clean round — no injected fault, no pending remediation skip, the
+monolithic batched engine — needs none of that machinery, so it takes
+the **direct path**: :func:`repro.protocol.horizon.phase_a` (the one
+implementation of a clean round, shared with the horizon engine) plus
+one priced row, writing the same write-ahead log
+(:class:`_RoundLog`) and stage spans.  The coordinator over the
+discrete-event simulator runs only the rounds that need it; both paths
+give the same results bit for bit.
+
 The supervisor is deliberately deterministic given its seed: the chaos
 harness (:mod:`repro.resilience.chaos`) replays identical fault
 schedules against it and asserts the mechanism invariants after every
@@ -53,6 +62,7 @@ from repro.observability.instrumentation import (
 )
 from repro.protocol.coordinator import COORDINATOR_NAME, MachineNode, ProtocolPhase
 from repro.protocol.faults import FaultTolerantCoordinator, ReliableNetwork
+from repro.protocol.horizon import phase_a, round_result, run_horizon
 from repro.protocol.messages import (
     AllocationNotice,
     BidRequest,
@@ -368,6 +378,46 @@ class RoundResult:
         """Machines that stayed in the round through allocation."""
         return list(self.loads)
 
+    @classmethod
+    def voided_round(
+        cls,
+        index: int,
+        rate: float,
+        admitted: list[str],
+        probes: list[str],
+        quarantined: list[str],
+        excluded: list[str],
+        *,
+        machine_faults: dict | None = None,
+        payment_notices: dict[str, int] | None = None,
+        bid_retries: int = 0,
+        restarts: int = 0,
+    ) -> "RoundResult":
+        """A round abandoned before allocation: no jobs, no payments."""
+        machine_faults = machine_faults or {}
+        return cls(
+            index=index,
+            participants=list(admitted),
+            probes=probes,
+            quarantined=quarantined,
+            excluded=excluded,
+            withheld=[],
+            alerts=[],
+            faulted=sorted(machine_faults),
+            fault_kinds={n: f.kind for n, f in machine_faults.items()},
+            voided=True,
+            outcome=None,
+            loads={},
+            payments={},
+            utilities={},
+            payment_notices=payment_notices or {},
+            bid_retries=bid_retries,
+            report_retries=0,
+            coordinator_restarts=restarts,
+            arrival_rate=rate,
+            jobs_routed=0,
+        )
+
 
 @dataclass
 class SupervisorReport:
@@ -425,6 +475,78 @@ class _IncrementalAllocator:
     ) -> AllocationResult:
         """PR loads for ``bids`` (``names`` is the matching membership)."""
         return pr_allocation(bids, arrival_rate)
+
+
+class _RoundLog:
+    """The write-ahead log of a round that takes the direct path.
+
+    Writes into ``store`` what the message path's
+    :class:`SupervisedCoordinator` writes for the same clean round: a
+    snapshot at each phase transition (``BIDDING`` at start,
+    ``EXECUTING``, ``VERIFYING``, ``DONE``) with a bid record per
+    machine before ``EXECUTING`` and a report record per machine before
+    ``VERIFYING``; the payments go as one packed record before
+    ``DONE``, as a shard's settle writes them.  Each transition also
+    records the coordinator's ``protocol.phase_transitions`` counter
+    and annotation.  ``store.load()`` after the round therefore equals
+    the message path's final checkpoint.
+    """
+
+    def __init__(
+        self, store: CheckpointStore, names: list[str], rate: float
+    ) -> None:
+        self.store = store
+        self.names = names
+        self.rate = rate
+        self.phase = ProtocolPhase.IDLE
+        self.bids: dict[str, float] = {}
+        self.loads: list[float] | None = None
+        self.reports: dict[str, tuple[int, float]] = {}
+        self.payments: dict[str, tuple[float, float, float]] = {}
+
+    def _enter(self, phase: ProtocolPhase) -> None:
+        record_counter(
+            "protocol.phase_transitions", src=self.phase.value, dst=phase.value
+        )
+        annotate("protocol.phase", src=self.phase.value, dst=phase.value)
+        self.phase = phase
+        self.store.save(
+            CoordinatorCheckpoint(
+                phase=phase.value,
+                machine_names=list(self.names),
+                arrival_rate=self.rate,
+                bids=self.bids,
+                loads=self.loads,
+                reports=self.reports,
+                payments_sent=self.payments,
+            )
+        )
+
+    def begin(self) -> None:
+        self._enter(ProtocolPhase.BIDDING)
+
+    def allocated(self, bids: np.ndarray, loads: np.ndarray) -> None:
+        values = bids.tolist()
+        for name, bid in zip(self.names, values):
+            self.store.append_bid(name, bid)
+        self.bids = dict(zip(self.names, values))
+        self.loads = loads.tolist()
+        self._enter(ProtocolPhase.EXECUTING)
+
+    def reported(self, counts: np.ndarray, mean_sojourns: np.ndarray) -> None:
+        reports = list(zip(counts.tolist(), mean_sojourns.tolist()))
+        for name, (jobs, mean_sojourn) in zip(self.names, reports):
+            self.store.append_report(name, jobs, mean_sojourn)
+        self.reports = dict(zip(self.names, reports))
+        self._enter(ProtocolPhase.VERIFYING)
+
+    def paid(self, payments) -> None:
+        block = np.column_stack(
+            (payments.payment, payments.compensation, payments.bonus)
+        )
+        self.store.append_payments(self.names, block)
+        self.payments = dict(zip(self.names, map(tuple, block.tolist())))
+        self._enter(ProtocolPhase.DONE)
 
 
 class _SupervisedNode:
@@ -521,7 +643,9 @@ class RoundSupervisor:
         detect → propose → shadow-verify → schedule pipeline, whose
         applied actions adjust this supervisor (quarantine state, bid
         overrides, detector calibration, skipped rounds) before the
-        next round runs.
+        next round runs.  The pipeline sees every round's result
+        whichever path ran it; its shadow dry runs are clean rounds of
+        a forked supervisor, so they take the direct path.
     shards / shard_executor:
         With ``shards > 1``, clean rounds (no injected faults, no
         message drops, no coordinator crash) run through the sharded
@@ -546,12 +670,21 @@ class RoundSupervisor:
         — the sharded fast path assumes a stationary rate and is
         skipped while a schedule is active.
     horizon:
-        When true, :meth:`run` drives the horizon-fused engine
-        (:func:`repro.protocol.horizon.run_horizon`): maximal fault-free
-        segments are evaluated as stacked broadcasts, de-fusing to
-        :meth:`run_round` at every chaos/remediation event boundary,
-        with results bit-identical to the sequential loop on the same
-        seed.
+        When true, :meth:`run` drives the horizon engine
+        (:func:`repro.protocol.horizon.run_horizon`), which only
+        changes how clean rounds are *priced*: every clean round runs
+        the same Phase A as a direct :meth:`run_round`, and maximal runs
+        of them (with no remediation pipeline attached) have their
+        pricing stacked into one broadcast per segment.  Every other
+        round goes to :meth:`run_round`.  Results are bit-identical to
+        the sequential loop on the same seed.
+
+    Every clean round of :meth:`run_round` takes the direct path
+    (Phase A plus one priced row; counted by
+    ``supervisor.direct_rounds``).  Rounds with drops, machine faults,
+    a coordinator crash, or on the event engine run the
+    :class:`SupervisedCoordinator` over the discrete-event simulator
+    (``supervisor.message_rounds``).
     """
 
     def __init__(
@@ -614,7 +747,7 @@ class RoundSupervisor:
         self._round_index = 0
         self.remediation = remediation
         #: Remediation-imposed effective declared values (name -> bid);
-        #: consumed by every round's SupervisedCoordinator.
+        #: read by every round, on either path.
         self.bid_overrides: dict[str, float] = {}
         #: Rounds the supervisor will void outright before routing any
         #: jobs — the remediation pipeline's emergency brake.
@@ -653,9 +786,9 @@ class RoundSupervisor:
     def _generate_times(self, index: int) -> np.ndarray:
         """Round ``index``'s arrival times (relative to the round start).
 
-        The single generation point both the sequential round and the
-        horizon-fused engine call, so the two paths consume the RNG
-        stream identically draw for draw.
+        The single generation point the message path and Phase A (direct
+        and fused rounds) call, so every path consumes the RNG stream
+        identically draw for draw.
         """
         if self.arrival_schedule is None:
             workload = PoissonWorkload(self.arrival_rate, self._rng)
@@ -669,13 +802,11 @@ class RoundSupervisor:
     def run(self, n_rounds: int, fault_plan=None) -> SupervisorReport:
         """Drive ``n_rounds`` rounds, optionally under a fault plan.
 
-        With ``horizon=True`` the rounds run through the horizon-fused
-        engine (same results bit for bit, de-fusing at fault
-        boundaries); otherwise one :meth:`run_round` per iteration.
+        With ``horizon=True`` the rounds run through the horizon engine
+        (same results bit for bit, stacking the pricing of clean
+        segments); otherwise one :meth:`run_round` per iteration.
         """
         if self.horizon:
-            from repro.protocol.horizon import run_horizon
-
             return run_horizon(self, n_rounds, fault_plan)
         if n_rounds < 1:
             raise ValueError("n_rounds must be at least 1")
@@ -714,6 +845,19 @@ class RoundSupervisor:
             with trace_span("supervisor.remediation", index=result.index):
                 self.remediation.process_round(self, result)
         return result
+
+    def _takes_direct_path(self, faults: "RoundFaults | None") -> bool:
+        """Whether the next round is clean, so it needs no message path.
+
+        Clean means: no injected fault (``faults`` is ``None`` or
+        clean), no pending remediation skip, the monolithic batched
+        engine.  Such a round runs
+        :func:`~repro.protocol.horizon.phase_a` directly; anything else
+        runs the coordinator over the discrete-event simulator.
+        """
+        if self.shards > 1 or self.skip_rounds > 0 or self.execution != "batched":
+            return False
+        return faults is None or bool(getattr(faults, "is_clean", False))
 
     def _run_round_sharded(
         self,
@@ -809,34 +953,10 @@ class RoundSupervisor:
         coordinator_crash = getattr(faults, "coordinator_crash", None)
         crash_after_payments = int(getattr(faults, "crash_after_payments", 1))
 
-        def void_result(
-            excluded: list[str],
-            *,
-            payment_notices: dict[str, int] | None = None,
-            bid_retries: int = 0,
-            restarts: int = 0,
-        ) -> RoundResult:
-            return RoundResult(
-                index=index,
-                participants=list(admitted),
-                probes=probes,
-                quarantined=quarantined,
-                excluded=excluded,
-                withheld=[],
-                alerts=[],
-                faulted=sorted(machine_faults),
-                fault_kinds={n: f.kind for n, f in machine_faults.items()},
-                voided=True,
-                outcome=None,
-                loads={},
-                payments={},
-                utilities={},
-                payment_notices=payment_notices or {},
-                bid_retries=bid_retries,
-                report_retries=0,
-                coordinator_restarts=restarts,
-                arrival_rate=rate,
-                jobs_routed=0,
+        def void_result(excluded: list[str], **kwargs) -> RoundResult:
+            return RoundResult.voided_round(
+                index, rate, admitted, probes, quarantined, excluded,
+                machine_faults=machine_faults, **kwargs,
             )
 
         if self.skip_rounds > 0:
@@ -862,6 +982,14 @@ class RoundSupervisor:
             # path (drops, crashes, and probes live in the network
             # machinery the chaos harness instruments).
             return self._run_round_sharded(index, admitted, probes, quarantined)
+
+        if self._takes_direct_path(faults):
+            record_counter("supervisor.direct_rounds")
+            wal = _RoundLog(CheckpointStore(), admitted, rate)
+            return round_result(
+                phase_a(self, index, rate, admitted, probes, quarantined, wal)
+            )
+        record_counter("supervisor.message_rounds")
 
         # ---------------------------------------------------------- wiring
         sim = Simulator()

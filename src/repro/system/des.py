@@ -18,12 +18,13 @@ from typing import Callable
 __all__ = ["Event", "EventQueue", "Simulator"]
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled event.
 
-    Ordering is (time, sequence number), so simultaneous events fire in
-    the order they were scheduled (stable FIFO tie-breaking).
+    The queue orders events by (time, sequence number), so simultaneous
+    events fire in the order they were scheduled (stable FIFO
+    tie-breaking).
     """
 
     time: float
@@ -51,21 +52,25 @@ class Event:
 class EventQueue:
     """Priority queue of events with lazy cancellation.
 
+    Heap entries are ``(time, seq, event)`` tuples: the sequence number
+    is unique, so tuple comparison settles on the first two fields in
+    C and never compares events.
+
     ``__len__``/``__bool__`` are O(1): a live-event counter is bumped on
     push and decremented the moment an event is cancelled or popped
     live, so no scan over lazily-cancelled heap entries is ever needed.
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
     def push(self, time: float, handler: Callable[["Simulator"], None]) -> Event:
         """Schedule ``handler`` at ``time`` and return the event handle."""
-        event = Event(time=time, seq=next(self._counter), handler=handler)
-        event._on_cancel = self._note_cancel
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, handler, False, self._note_cancel)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -75,7 +80,7 @@ class EventQueue:
     def pop(self) -> Event | None:
         """Next non-cancelled event, or ``None`` when empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 self._live -= 1
                 event._detach()
@@ -84,9 +89,10 @@ class EventQueue:
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def __len__(self) -> int:
         return self._live

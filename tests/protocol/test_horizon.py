@@ -1,4 +1,4 @@
-"""Horizon-fused rounds on wide, sparse fleets: identical to sequential.
+"""Horizon-fused rounds on wide, sparse fleets: identical to the message path.
 
 At n=400 with R=4 over 5 s windows a round routes ~20 jobs, so ~95% of
 the machines run none — the regime where the fused engine must visit
@@ -7,6 +7,11 @@ bit for bit.  A truthful-bidding slow executor with a large share
 trips the CUSUM detector, so its circuit opens, probes and re-opens
 inside fused segments (quarantine churn); a fault plan with machine
 crashes and coordinator crashes forces de-fusion at its boundaries.
+
+A sequential clean round takes the direct path, which runs the same
+Phase A as a fused round; so the reference here is the sequential loop
+with every round forced through the coordinator over the discrete-event
+simulator.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ def _run(*, horizon: bool, deterministic: bool, plan) -> list[RoundResult]:
         deterministic_service=deterministic, detector_threshold=4.0,
         horizon=horizon,
     )
+    if not horizon:
+        supervisor._takes_direct_path = lambda _faults: False
     return supervisor.run(ROUNDS, fault_plan=plan).rounds
 
 

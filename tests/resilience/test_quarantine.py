@@ -159,3 +159,24 @@ class TestValidation:
         policy = QuarantinePolicy()
         with pytest.raises(KeyError):
             policy.state_of("ghost")
+
+
+class TestDeepCopy:
+    def test_copy_is_independent_and_keeps_the_index(self):
+        import copy
+
+        policy = QuarantinePolicy(failure_threshold=1)
+        for name in ("a", "b", "c"):
+            policy.admit(name)
+        policy.record_failure("b", "missed_bid")
+        clone = copy.deepcopy(policy)
+        assert clone.quarantined() == policy.quarantined() == ["b"]
+        assert vars(clone.health_of("b")) == vars(policy.health_of("b"))
+
+        clone.record_failure("a", "missed_bid")
+        clone.health_of("c").reputation = 0.0
+        assert policy.quarantined() == ["b"]
+        assert clone.quarantined() == ["a", "b"]
+        assert policy.health_of("c").reputation == 1.0
+        assert policy.begin_round() == ["a", "c"]
+        assert clone.begin_round() == ["c"]

@@ -191,6 +191,28 @@ class TestMetrics:
         assert "supervisor.round" in names
 
 
+class TestRoundPaths:
+    def test_metrics_reports_which_path_each_round_took(self, capsys):
+        import json
+
+        out = run_cli(
+            capsys, "metrics", "--rounds", "6", "--machines", "6",
+            "--seed", "1", "--chaos", "--json",
+        )
+        paths = json.loads(out)["round_paths"]
+        assert paths["supervisor.direct_rounds"] >= 1
+        assert paths["supervisor.message_rounds"] >= 1
+        assert paths["horizon.fused.rounds"] == 0
+
+    def test_text_report_prints_the_round_paths_table(self, capsys):
+        out = run_cli(
+            capsys, "metrics", "--rounds", "2", "--machines", "4",
+            "--seed", "1",
+        )
+        assert "Round paths" in out
+        assert "supervisor.direct_rounds" in out
+
+
 class TestCampaign:
     @pytest.mark.parametrize(
         "argv",
